@@ -116,9 +116,6 @@ struct Inner {
     registers: u64,
     capacity: usize,
     issued: AtomicUsize,
-    /// Reuse epoch, bumped by [`Inner::reset`]; mixed into the per-slot
-    /// seeds so recycled objects draw fresh coin streams each epoch.
-    epoch: AtomicU64,
     backend: Backend,
 }
 
@@ -142,7 +139,6 @@ fn build(backend: Backend, capacity: usize) -> Inner {
         registers,
         capacity,
         issued: AtomicUsize::new(0),
-        epoch: AtomicU64::new(0),
         backend,
     }
 }
@@ -157,11 +153,12 @@ impl Inner {
         );
         // Per-(slot, epoch) deterministic seeding keeps runs reproducible
         // while giving each participant an independent coin stream and
-        // each reuse epoch fresh randomness.
+        // each reuse epoch fresh randomness. The epoch is the memory's
+        // reset count.
         let seed = 0x7a5_u64
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(slot as u64)
-            .wrapping_add(self.epoch.load(Ordering::Relaxed).wrapping_mul(0x9e37_79b9));
+            .wrapping_add(self.memory.epoch().wrapping_mul(0x9e37_79b9));
         runner.run(self.le.elect(), &self.memory, slot, seed) == ret::WIN
     }
 
@@ -172,7 +169,6 @@ impl Inner {
     fn reset(&self) {
         self.memory.reset();
         self.issued.store(0, Ordering::SeqCst);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -234,8 +230,8 @@ impl LeaderElection {
         self.inner.elect_with(runner)
     }
 
-    /// Recycle the object: zero every register (no allocation) and
-    /// re-open all `capacity` participation slots.
+    /// Recycle the object: return every register to 0 in O(1) (no
+    /// allocation) and re-open all `capacity` participation slots.
     ///
     /// The caller must guarantee quiescence — every `elect` call of the
     /// current epoch has returned, and the reset happens-before the next
@@ -270,7 +266,7 @@ impl LeaderElection {
 /// register, exactly as in the paper (Preliminaries).
 pub struct TestAndSet {
     le: LeaderElection,
-    done: std::sync::atomic::AtomicU64,
+    done: AtomicU64,
 }
 
 impl std::fmt::Debug for TestAndSet {
@@ -301,7 +297,7 @@ impl TestAndSet {
     pub fn with_backend(backend: Backend, capacity: usize) -> Self {
         TestAndSet {
             le: LeaderElection::with_backend(backend, capacity),
-            done: std::sync::atomic::AtomicU64::new(0),
+            done: AtomicU64::new(0),
         }
     }
 
@@ -332,8 +328,9 @@ impl TestAndSet {
         true
     }
 
-    /// Recycle the object: clear the TAS bit, zero every register (no
-    /// allocation), and re-open all `capacity` participation slots.
+    /// Recycle the object: clear the TAS bit, return every register to 0
+    /// in O(1) (no allocation), and re-open all `capacity` participation
+    /// slots.
     /// Same quiescence contract as [`LeaderElection::reset`].
     pub fn reset(&self) {
         self.done.store(0, Ordering::SeqCst);

@@ -16,9 +16,40 @@ use rtas_sim::word::{ProcessId, RegId, Word};
 /// (`alloc_lazy`) regions are not supported natively — materializing
 /// Θ(n³) atomics is exactly what the paper's space-efficient structures
 /// avoid.
+///
+/// Every register word carries the object's epoch tag in its high
+/// [`TAG_BITS`] bits and the register value in the low 48 bits. A word
+/// whose tag is not the current one was written in an earlier epoch and
+/// reads as 0, so [`NativeMemory::reset`] recycles the whole block by
+/// bumping one counter instead of storing to every register.
 #[derive(Debug)]
 pub struct NativeMemory {
     regs: Vec<AtomicU64>,
+    /// Number of resets since construction; its low [`TAG_BITS`] bits
+    /// are the tag every current-epoch word carries.
+    ///
+    /// `read` and `write` load it `Relaxed`. That is enough because the
+    /// reset contract already orders it: a reset happens-before the next
+    /// epoch's first operation (the load arena, the `svc` namespace gate
+    /// and the benchmark's lockstep all publish it through a
+    /// release/acquire epoch counter), and no reset runs while an
+    /// operation is in flight. So every operation of an epoch sees the
+    /// same, latest value of this counter.
+    epoch: AtomicU64,
+}
+
+/// Bits of a register word that hold the epoch tag.
+pub const TAG_BITS: u32 = 16;
+
+/// Bits of a register word that hold the register value.
+const VALUE_BITS: u32 = 64 - TAG_BITS;
+
+const VALUE_MASK: Word = (1 << VALUE_BITS) - 1;
+
+/// The tag bits, in place, that words written in epoch `epoch` carry.
+#[inline]
+fn tag_bits(epoch: u64) -> Word {
+    epoch << VALUE_BITS
 }
 
 impl NativeMemory {
@@ -40,7 +71,10 @@ impl NativeMemory {
         );
         let n = layout.dense_registers();
         let regs = (0..n).map(|_| AtomicU64::new(0)).collect();
-        NativeMemory { regs }
+        NativeMemory {
+            regs,
+            epoch: AtomicU64::new(0),
+        }
     }
 
     /// Number of registers.
@@ -59,27 +93,53 @@ impl NativeMemory {
         &self.regs[id.0 as usize]
     }
 
-    /// Atomic read (sequentially consistent).
+    /// Number of resets since construction (0 for a fresh memory).
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    /// Atomic read (sequentially consistent). A register not yet written
+    /// in the current epoch reads as 0.
     #[inline]
     pub fn read(&self, id: RegId) -> Word {
-        self.reg(id).load(Ordering::SeqCst)
+        let word = self.reg(id).load(Ordering::SeqCst);
+        if word & !VALUE_MASK == tag_bits(self.epoch()) {
+            word & VALUE_MASK
+        } else {
+            0
+        }
     }
 
-    /// Atomic write (sequentially consistent).
+    /// Atomic write (sequentially consistent), tagged with the current
+    /// epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` does not fit in the word's low 48 bits: it
+    /// would spill into the tag and read back as 0.
     #[inline]
     pub fn write(&self, id: RegId, value: Word) {
-        self.reg(id).store(value, Ordering::SeqCst)
+        assert!(
+            value <= VALUE_MASK,
+            "native register value {value} does not fit in {VALUE_BITS} bits"
+        );
+        self.reg(id)
+            .store(tag_bits(self.epoch()) | value, Ordering::SeqCst)
     }
 
-    /// Reset every register to 0 — the object's initial state — without
-    /// allocating.
+    /// Return every register to 0 — the object's initial state — in O(1)
+    /// and without allocating.
     ///
     /// The paper's objects are one-shot, but their *memory* is not:
     /// every protocol assumes only that all registers start at 0, so
-    /// zeroing the block returns the object to its pristine pre-first-op
-    /// state and a fixed pool of objects can be recycled epoch after
-    /// epoch instead of reallocated per resolution (see
-    /// `rtas_load::arena`).
+    /// a block that reads all-zero is a pristine pre-first-op object and
+    /// a fixed pool of objects can be recycled epoch after epoch instead
+    /// of reallocated per resolution (see `rtas_load::arena`).
+    ///
+    /// The reset bumps the epoch counter, which retires every word's tag
+    /// at once. When the tag wraps to 0, once every `1 << TAG_BITS`
+    /// resets, it also stores 0 to every register, so words written
+    /// `1 << TAG_BITS` epochs ago cannot come back to life.
     ///
     /// Takes `&self` (the registers are atomics), but the caller must
     /// guarantee *quiescence*: no `elect`/`test_and_set` call may be in
@@ -88,8 +148,11 @@ impl NativeMemory {
     /// release/acquire epoch counter). A reset that races a live
     /// operation is not memory-unsafe, only semantically meaningless.
     pub fn reset(&self) {
-        for reg in &self.regs {
-            reg.store(0, Ordering::SeqCst);
+        let next = self.epoch.fetch_add(1, Ordering::SeqCst).wrapping_add(1);
+        if tag_bits(next) == 0 {
+            for reg in &self.regs {
+                reg.store(0, Ordering::SeqCst);
+            }
         }
     }
 }
@@ -234,6 +297,46 @@ mod tests {
         for reg in regs.iter() {
             assert_eq!(shared.read(reg), 0);
         }
+    }
+
+    #[test]
+    fn reset_is_one_counter_bump_until_the_tag_wraps() {
+        let mut layout = Memory::new();
+        let reg = layout.alloc(1, "t").get(0);
+        let shared = NativeMemory::from_layout(&layout);
+        shared.write(reg, 7);
+        shared.reset();
+        assert_eq!(shared.epoch(), 1);
+        // The stale word is still stored; only its tag retires it.
+        assert_eq!(shared.regs[0].load(Ordering::SeqCst), 7);
+        assert_eq!(shared.read(reg), 0);
+        for _ in 1..(1u64 << TAG_BITS) - 1 {
+            shared.reset();
+        }
+        shared.write(reg, 9);
+        shared.reset();
+        assert_eq!(shared.epoch(), 1 << TAG_BITS);
+        assert_eq!(shared.regs[0].load(Ordering::SeqCst), 0, "wrap sweeps");
+        assert_eq!(shared.read(reg), 0);
+    }
+
+    #[test]
+    fn largest_value_round_trips() {
+        let mut layout = Memory::new();
+        let reg = layout.alloc(1, "t").get(0);
+        let shared = NativeMemory::from_layout(&layout);
+        shared.reset();
+        shared.write(reg, VALUE_MASK);
+        assert_eq!(shared.read(reg), VALUE_MASK);
+    }
+
+    #[test]
+    #[should_panic(expected = "native register value 281474976710656 does not fit")]
+    fn value_spilling_into_the_tag_panics() {
+        let mut layout = Memory::new();
+        let reg = layout.alloc(1, "t").get(0);
+        let shared = NativeMemory::from_layout(&layout);
+        shared.write(reg, 1 << VALUE_BITS);
     }
 
     #[test]

@@ -14,16 +14,18 @@
 //! schedules the interleaving (the OS instead of an adversary).
 
 //!
-//! Native objects are also *recyclable*: [`NativeMemory::reset`] stores
-//! 0 to every register without allocating, returning the object to its
-//! initial state, and [`NativeRunner`] reuses one protocol-stack buffer
+//! Native objects are also *recyclable*: every register word carries the
+//! object's epoch tag, so [`NativeMemory::reset`] returns the object to
+//! its all-zero initial state by bumping one counter, with no allocation
+//! and no per-register store (except one zeroing sweep each time the
+//! 16-bit tag wraps). [`NativeRunner`] reuses one protocol-stack buffer
 //! across operations — together the foundation of the `rtas-load`
 //! sharded arena, which resolves sustained traffic on a fixed pool of
 //! objects instead of constructing one per operation.
 
 mod driver;
 
-pub use driver::{run_protocol, NativeMemory, NativeRunner};
+pub use driver::{run_protocol, NativeMemory, NativeRunner, TAG_BITS};
 
 #[cfg(test)]
 mod tests {

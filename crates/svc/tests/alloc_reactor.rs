@@ -1,13 +1,14 @@
 //! Allocation accounting for the reactor's steady-state serve path.
 //!
-//! The underlying arbitration objects allocate per epoch by design
-//! (randomized structures are rebuilt on reset), so "zero allocations"
-//! cannot mean a literally silent profile. The claim — mirroring
-//! `alloc_steady.rs`, which proves the namespace adds zero allocations
-//! over the bare object — is **differential**: the reactor engine's
-//! event loop (epoll wait, slab slots, reused event/chunk/due scratch,
-//! write carryover) must add *zero* allocations per operation over the
-//! thread-per-connection engine serving identical traffic. Both engines
+//! The underlying arbitration objects allocate per operation by design
+//! (each acquisition boxes its protocol state machines; reset allocates
+//! nothing), so "zero allocations" cannot mean a literally silent
+//! profile. The claim — mirroring `alloc_steady.rs`, which proves the
+//! namespace adds zero allocations over the bare object — is
+//! **differential**: the reactor engine's event loop (epoll wait, slab
+//! slots, reused event/chunk/due scratch, write carryover) must add
+//! *zero* allocations per operation over the thread-per-connection
+//! engine serving identical traffic. Both engines
 //! drive the same `Connection` state machines over the same keys and
 //! epoch counts, and the backends' per-(slot, epoch) coin streams are
 //! deterministic, so the two allocation counts are comparable exactly,

@@ -2,10 +2,16 @@
 //! concurrency, across all backends — fresh objects, recycled (reset)
 //! objects, and the raw group-election primitive.
 
-use rtas::algorithms::{GeometricGroupElect, GroupElect, SiftingGroupElect};
-use rtas::native::{run_protocol, NativeMemory, NativeRunner};
+use std::sync::Arc;
+
+use rtas::algorithms::{
+    Combined, GeometricGroupElect, GroupElect, LeaderElect, LogLogLe, LogStarLe, SiftingGroupElect,
+    SpaceEfficientRatRace,
+};
+use rtas::native::{run_protocol, NativeMemory, NativeRunner, TAG_BITS};
 use rtas::sim::memory::Memory;
 use rtas::sim::protocol::ret;
+use rtas::sim::word::{RegId, Word};
 use rtas::{Backend, LeaderElection, TestAndSet};
 
 const BACKENDS: [Backend; 4] = [
@@ -212,4 +218,86 @@ fn recycled_backends_on_8_threads_exactly_one_winner_per_round() {
             tas.reset();
         }
     }
+}
+
+/// The register layout and election descriptor a `LeaderElection` of
+/// `backend` builds, exposed so a test can drive the raw memory.
+fn backend_layout(backend: Backend, capacity: usize) -> (Memory, Arc<dyn LeaderElect>) {
+    let mut mem = Memory::new();
+    let le: Arc<dyn LeaderElect> = match backend {
+        Backend::LogStar => Arc::new(LogStarLe::new(&mut mem, capacity)),
+        Backend::LogLog => Arc::new(LogLogLe::new(&mut mem, capacity)),
+        Backend::RatRace => Arc::new(SpaceEfficientRatRace::new(&mut mem, capacity)),
+        Backend::Combined => {
+            let weak = Arc::new(LogStarLe::new(&mut mem, capacity));
+            Arc::new(Combined::new(&mut mem, weak, capacity))
+        }
+    };
+    (mem, le)
+}
+
+fn snapshot(memory: &NativeMemory) -> Vec<Word> {
+    (0..memory.len() as u64)
+        .map(|i| memory.read(RegId(i)))
+        .collect()
+}
+
+/// Drives one recycled memory per backend across the epoch-tag wrap
+/// (2^16 + 2 epochs, a solo winner then a loser each epoch) against a
+/// fresh memory per epoch as the reference: both must return the same
+/// verdicts and hold the same register values after every epoch, and
+/// every register must read 0 after every reset, the wrapping one
+/// included. Epoch 0 leaves every register nonzero, so a word that
+/// carries tag 0 is still stored when the tag wraps back to 0. A
+/// `TestAndSet` recycled alongside must keep its solo false-then-true
+/// verdicts through the wrap.
+#[test]
+fn recycled_memory_matches_fresh_memory_across_the_tag_wrap() {
+    let epochs = (1u64 << TAG_BITS) + 2;
+    std::thread::scope(|s| {
+        for backend in BACKENDS {
+            s.spawn(move || {
+                let (layout, le) = backend_layout(backend, 2);
+                let recycled = NativeMemory::from_layout(&layout);
+                let tas = TestAndSet::with_backend(backend, 2);
+                let mut runner = NativeRunner::new();
+                for epoch in 0..epochs {
+                    assert_eq!(recycled.epoch(), epoch);
+                    let fresh = NativeMemory::from_layout(&layout);
+                    for (participant, verdict) in [ret::WIN, ret::LOSE].into_iter().enumerate() {
+                        let seed = epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ participant as u64;
+                        let got = run_protocol(le.elect(), &recycled, participant, seed);
+                        let want = run_protocol(le.elect(), &fresh, participant, seed);
+                        assert_eq!(got, want, "{backend:?} epoch {epoch} p{participant}");
+                        assert_eq!(got, verdict, "{backend:?} epoch {epoch} p{participant}");
+                    }
+                    assert_eq!(
+                        snapshot(&recycled),
+                        snapshot(&fresh),
+                        "{backend:?} epoch {epoch}: registers differ from a fresh memory"
+                    );
+                    if epoch == 0 {
+                        for i in 0..recycled.len() as u64 {
+                            recycled.write(RegId(i), i + 1);
+                        }
+                    }
+                    assert!(
+                        !tas.test_and_set_with(&mut runner),
+                        "{backend:?} epoch {epoch}"
+                    );
+                    assert!(
+                        tas.test_and_set_with(&mut runner),
+                        "{backend:?} epoch {epoch}"
+                    );
+                    recycled.reset();
+                    tas.reset();
+                    assert!(
+                        snapshot(&recycled).iter().all(|&v| v == 0),
+                        "{backend:?}: a register survived reset {}",
+                        epoch + 1
+                    );
+                }
+            });
+        }
+    });
 }
