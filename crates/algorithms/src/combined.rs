@@ -20,32 +20,44 @@
 //! O(log* k) algorithm with the ascending-write attack of
 //! [`crate::attacks`].
 //!
-//! Implementation note: each side runs in its own
-//! [`rtas_sim::executor::SubRuntime`] *inside* one process's protocol —
-//! the protocol interleaves the two operation streams one shared-memory
-//! operation at a time, exactly as the paper's round-robin demands.
+//! Implementation note: one process's [`CombinedFrame`] holds both
+//! sides' frames by value, each with the operation it is poised on, and
+//! interleaves the two operation streams one shared-memory operation at a
+//! time, exactly as the paper's round-robin demands. The weak side's type
+//! is the caller's choice (`Combined<W>`), so the default pairing with
+//! [`LogStarLe`] runs without boxing or dynamic dispatch.
 
 use std::sync::Arc;
 
-use rtas_primitives::{RoleLeaderElect, TwoProcessLe};
-use rtas_sim::executor::{SubPoll, SubRuntime};
+use rtas_primitives::{Elect, TwoProcessFrame, TwoProcessLe};
 use rtas_sim::memory::Memory;
-use rtas_sim::op::OpKind;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::op::MemOp;
+use rtas_sim::protocol::{ret, Ctx, Frame, Poll, Protocol, Resume};
 use rtas_sim::word::Word;
 
-use crate::ratrace::SpaceEfficientRatRace;
+use crate::logstar::LogStarLe;
+use crate::ratrace::{RatRaceFrame, SpaceEfficientRatRace};
 use crate::LeaderElect;
 
-/// The Section 4 combined leader election.
-#[derive(Clone)]
-pub struct Combined {
+/// The Section 4 combined leader election of RatRace with the weak-adversary
+/// algorithm `W`.
+pub struct Combined<W = LogStarLe> {
     ratrace: SpaceEfficientRatRace,
-    weak: Arc<dyn LeaderElect>,
+    weak: Arc<W>,
     letop: TwoProcessLe,
 }
 
-impl std::fmt::Debug for Combined {
+impl<W> Clone for Combined<W> {
+    fn clone(&self) -> Self {
+        Combined {
+            ratrace: self.ratrace.clone(),
+            weak: Arc::clone(&self.weak),
+            letop: self.letop,
+        }
+    }
+}
+
+impl<W> std::fmt::Debug for Combined<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Combined")
             .field("ratrace", &self.ratrace)
@@ -53,10 +65,10 @@ impl std::fmt::Debug for Combined {
     }
 }
 
-impl Combined {
+impl<W: Elect + 'static> Combined<W> {
     /// Combine `weak` (an algorithm for a weak adversary) with a RatRace
     /// sized for `n` processes.
-    pub fn new(memory: &mut Memory, weak: Arc<dyn LeaderElect>, n: usize) -> Self {
+    pub fn new(memory: &mut Memory, weak: Arc<W>, n: usize) -> Self {
         let ratrace = SpaceEfficientRatRace::new(memory, n);
         let letop = TwoProcessLe::new(memory, "combined-letop");
         Combined {
@@ -68,20 +80,21 @@ impl Combined {
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(CombinedProtocol {
-            combined: self.clone(),
-            rr: Side::new(SubRuntime::new(self.ratrace.elect())),
-            weak: Side::new(SubRuntime::new(self.weak.elect())),
-            pending: None,
-            next_turn: Turn::RatRace,
-            state: State::Interleaving,
-        })
+        LeaderElect::elect(self)
     }
 }
 
-impl LeaderElect for Combined {
-    fn elect(&self) -> Box<dyn Protocol> {
-        Combined::elect(self)
+impl<W: Elect> Elect for Combined<W> {
+    type Frame = CombinedFrame<W>;
+
+    fn frame(&self) -> CombinedFrame<W> {
+        CombinedFrame {
+            rr: Side::new(self.ratrace.frame()),
+            weak: Side::new(self.weak.frame()),
+            pending: None,
+            next_turn: Turn::RatRace,
+            top: None,
+        }
     }
 }
 
@@ -91,41 +104,81 @@ enum Turn {
     Weak,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Alternating steps between the two sides.
-    Interleaving,
-    /// Waiting for `LEtop`.
-    AfterTop,
-}
-
-/// One side of the interleaving: its runtime plus a stopped flag.
-struct Side {
-    runtime: SubRuntime,
+/// One side of the interleaving: its frame, the operation it is poised on
+/// or the result it finished with, and a stopped flag.
+#[derive(Debug, Clone)]
+struct Side<F> {
+    frame: F,
+    /// The input of the side's next resume, once its last operation ran.
+    input: Option<Resume>,
+    pending: Option<MemOp>,
+    finished: Option<Word>,
     stopped: bool,
 }
 
-impl Side {
-    fn new(runtime: SubRuntime) -> Self {
+impl<F: Frame> Side<F> {
+    fn new(frame: F) -> Self {
         Side {
-            runtime,
+            frame,
+            input: Some(Resume::Start),
+            pending: None,
+            finished: None,
             stopped: false,
         }
     }
 
     /// Whether this side can still take a step.
     fn live(&self) -> bool {
-        !self.stopped && self.runtime.finished().is_none()
+        !self.stopped && self.finished.is_none()
+    }
+
+    /// Deliver the result of the operation this side was poised on.
+    fn feed(&mut self, input: Resume) {
+        debug_assert!(self.pending.is_some(), "feed without a pending op");
+        debug_assert!(!matches!(input, Resume::Start), "unexpected {input:?}");
+        self.pending = None;
+        self.input = Some(input);
+    }
+
+    /// Resume a live side that is not poised yet until it is poised again
+    /// or finished; `Some(result)` if it finished in this call.
+    fn poise(&mut self, object: &F::Object, ctx: &mut Ctx<'_>) -> Option<Word> {
+        if !self.live() || self.pending.is_some() {
+            return None;
+        }
+        let input = self.input.take().expect("side resumed without input");
+        match self.frame.resume(object, input, ctx) {
+            Poll::Op(op) => {
+                self.pending = Some(op);
+                None
+            }
+            Poll::Done(v) => {
+                self.finished = Some(v);
+                Some(v)
+            }
+        }
     }
 }
 
-struct CombinedProtocol {
-    combined: Combined,
-    rr: Side,
-    weak: Side,
+/// One `elect()` call, resumed against its [`Combined`].
+pub struct CombinedFrame<W: Elect> {
+    rr: Side<RatRaceFrame>,
+    weak: Side<W::Frame>,
+    /// The side the operation in flight was issued for.
     pending: Option<Turn>,
     next_turn: Turn,
-    state: State,
+    /// `LEtop`, once a rule sent this process there.
+    top: Option<TwoProcessFrame>,
+}
+
+impl<W: Elect> std::fmt::Debug for CombinedFrame<W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CombinedFrame")
+            .field("pending", &self.pending)
+            .field("next_turn", &self.next_turn)
+            .field("top", &self.top)
+            .finish()
+    }
 }
 
 /// What the rule engine decided after a side produced a result.
@@ -138,7 +191,7 @@ enum RuleOutcome {
     Lose,
 }
 
-impl CombinedProtocol {
+impl<W: Elect> CombinedFrame<W> {
     /// Apply rules 1–3 for a side that just finished with `value`.
     fn on_side_finished(&mut self, side: Turn, value: Word, won_splitter: bool) -> RuleOutcome {
         match (side, value) {
@@ -171,50 +224,49 @@ impl CombinedProtocol {
         }
     }
 
-    fn side_mut(&mut self, turn: Turn) -> &mut Side {
-        match turn {
-            Turn::RatRace => &mut self.rr,
-            Turn::Weak => &mut self.weak,
+    /// Apply the rules to a side's result; `Some(poll)` ends this resume.
+    fn settle(
+        &mut self,
+        side: Turn,
+        value: Word,
+        c: &Combined<W>,
+        ctx: &mut Ctx<'_>,
+    ) -> Option<Poll> {
+        match self.on_side_finished(side, value, ctx.notes.won_splitter) {
+            RuleOutcome::Continue => None,
+            RuleOutcome::Lose => Some(Poll::Done(ret::LOSE)),
+            RuleOutcome::Top(role) => {
+                let top = self.top.insert(TwoProcessFrame::new(role));
+                Some(top.resume(&c.letop, Resume::Start, ctx))
+            }
         }
     }
 }
 
-impl Protocol for CombinedProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
-        if self.state == State::AfterTop {
-            return Poll::Done(input.child_value());
+impl<W: Elect> Frame for CombinedFrame<W> {
+    type Object = Combined<W>;
+
+    fn resume(&mut self, c: &Combined<W>, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        if let Some(top) = &mut self.top {
+            return top.resume(&c.letop, input, ctx);
         }
         // Deliver the result of the op we issued on behalf of a side.
-        if let Some(turn) = self.pending.take() {
-            match input {
-                Resume::Read(_) | Resume::Wrote => {
-                    self.side_mut(turn).runtime.feed(input);
-                }
-                other => panic!("unexpected resume {other:?} while interleaving"),
-            }
-        } else {
-            debug_assert!(matches!(input, Resume::Start));
+        match self.pending.take() {
+            Some(Turn::RatRace) => self.rr.feed(input),
+            Some(Turn::Weak) => self.weak.feed(input),
+            None => debug_assert!(matches!(input, Resume::Start)),
         }
         loop {
             // Advance any live side that is not poised yet, applying the
             // combination rules as sides finish.
-            for turn in [Turn::RatRace, Turn::Weak] {
-                let side = self.side_mut(turn);
-                if side.stopped || side.runtime.finished().is_some() {
-                    continue;
+            if let Some(v) = self.rr.poise(&c.ratrace, ctx) {
+                if let Some(poll) = self.settle(Turn::RatRace, v, c, ctx) {
+                    return poll;
                 }
-                if side.runtime.pending().is_none() {
-                    if let SubPoll::Finished(v) = side.runtime.advance(ctx) {
-                        let won_splitter = ctx.notes.won_splitter;
-                        match self.on_side_finished(turn, v, won_splitter) {
-                            RuleOutcome::Continue => {}
-                            RuleOutcome::Lose => return Poll::Done(ret::LOSE),
-                            RuleOutcome::Top(role) => {
-                                self.state = State::AfterTop;
-                                return Poll::Call(self.combined.letop.elect_as(role));
-                            }
-                        }
-                    }
+            }
+            if let Some(v) = self.weak.poise(&c.weak, ctx) {
+                if let Some(poll) = self.settle(Turn::Weak, v, c, ctx) {
+                    return poll;
                 }
             }
             // Pick the next side to step, alternating when both are live.
@@ -237,9 +289,11 @@ impl Protocol for CombinedProtocol {
                     return Poll::Done(ret::LOSE);
                 }
             };
-            let side = self.side_mut(turn);
-            if let Some(op) = side.runtime.pending() {
-                debug_assert!(matches!(op.kind(), OpKind::Read | OpKind::Write));
+            let pending = match turn {
+                Turn::RatRace => self.rr.pending,
+                Turn::Weak => self.weak.pending,
+            };
+            if let Some(op) = pending {
                 self.pending = Some(turn);
                 return Poll::Op(op);
             }
@@ -247,16 +301,11 @@ impl Protocol for CombinedProtocol {
             // loop to re-apply rules / re-pick.
         }
     }
-
-    fn name(&self) -> &'static str {
-        "combined"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logstar::LogStarLe;
     use rtas_sim::adversary::{AdversaryClass, FnAdversary, RandomSchedule, RoundRobin, View};
     use rtas_sim::executor::Execution;
     use rtas_sim::word::ProcessId;

@@ -22,9 +22,10 @@
 
 use std::sync::Arc;
 
-use rtas_primitives::{RoleLeaderElect, Splitter, SplitterObject, TwoProcessLe};
+use rtas_primitives::{SplitFrame, Splitter, TwoProcessFrame, TwoProcessLe};
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Bound, Ctx, Frame, Poll, Protocol, Resume};
+use rtas_sim::ready;
 use rtas_sim::word::Word;
 
 /// Outcome values of an elimination-path `enter()`.
@@ -47,7 +48,7 @@ struct Node {
 /// An elimination path of fixed length.
 #[derive(Clone)]
 pub struct EliminationPath {
-    nodes: Arc<Vec<Node>>,
+    nodes: Arc<[Node]>,
 }
 
 impl std::fmt::Debug for EliminationPath {
@@ -72,9 +73,7 @@ impl EliminationPath {
                 le: TwoProcessLe::new(memory, label),
             })
             .collect();
-        EliminationPath {
-            nodes: Arc::new(nodes),
-        }
+        EliminationPath { nodes }
     }
 
     /// Path length `ℓ`.
@@ -92,81 +91,68 @@ impl EliminationPath {
     /// Returns [`path_ret::WIN`], [`path_ret::LOSE`], or
     /// [`path_ret::FELL_OFF`].
     pub fn enter(&self) -> Box<dyn Protocol> {
-        Box::new(PathProtocol {
-            path: self.clone(),
-            state: State::Split,
-            node: 0,
-            role: 0,
-        })
+        Box::new(Bound::new(self.clone(), PathFrame::default()))
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// About to try `SP_node`.
-    Split,
-    /// Waiting for `SP_node.split()`.
-    AfterSplit,
-    /// About to try `LE_node` as `role`.
-    Climb,
-    /// Waiting for `LE_node.elect_as(role)`.
-    AfterClimb,
-}
-
-struct PathProtocol {
-    path: EliminationPath,
-    state: State,
+/// One `enter()` call, resumed against its [`EliminationPath`].
+#[derive(Debug, Clone, Default)]
+pub struct PathFrame {
     node: usize,
-    role: usize,
+    step: Step,
 }
 
-impl Protocol for PathProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+#[derive(Debug, Clone)]
+enum Step {
+    /// Running `SP_node`.
+    Split(SplitFrame),
+    /// Climbing through `LE_node`.
+    Climb(TwoProcessFrame),
+}
+
+impl Default for Step {
+    fn default() -> Self {
+        Step::Split(SplitFrame::default())
+    }
+}
+
+impl Frame for PathFrame {
+    type Object = EliminationPath;
+
+    fn resume(&mut self, path: &EliminationPath, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         loop {
-            match self.state {
-                State::Split => {
-                    self.state = State::AfterSplit;
-                    return Poll::Call(self.path.nodes[self.node].sp.split());
-                }
-                State::AfterSplit => match input.child_value() {
-                    v if v == ret::SPLIT_LEFT => return Poll::Done(path_ret::LOSE),
-                    v if v == ret::SPLIT_RIGHT => {
+            let node = &path.nodes[self.node];
+            match &mut self.step {
+                Step::Split(sp) => match ready!(sp.resume(&node.sp, input, ctx)) {
+                    ret::SPLIT_LEFT => return Poll::Done(path_ret::LOSE),
+                    ret::SPLIT_RIGHT => {
                         self.node += 1;
-                        if self.node == self.path.nodes.len() {
+                        if self.node == path.nodes.len() {
                             return Poll::Done(path_ret::FELL_OFF);
                         }
-                        self.state = State::Split;
+                        self.step = Step::default();
                     }
-                    v if v == ret::SPLIT_STOP => {
+                    ret::SPLIT_STOP => {
                         // Won SP_node: climb left through the elections.
                         // The note feeds Section 4's combiner (Rule 3).
                         ctx.notes.won_splitter = true;
-                        self.role = 0;
-                        self.state = State::Climb;
+                        self.step = Step::Climb(TwoProcessFrame::new(0));
                     }
                     other => panic!("invalid splitter result {other}"),
                 },
-                State::Climb => {
-                    self.state = State::AfterClimb;
-                    return Poll::Call(self.path.nodes[self.node].le.elect_as(self.role));
-                }
-                State::AfterClimb => {
-                    if input.child_value() == ret::LOSE {
+                Step::Climb(le) => {
+                    if ready!(le.resume(&node.le, input, ctx)) == ret::LOSE {
                         return Poll::Done(path_ret::LOSE);
                     }
                     if self.node == 0 {
                         return Poll::Done(path_ret::WIN);
                     }
                     self.node -= 1;
-                    self.role = 1;
-                    self.state = State::Climb;
+                    self.step = Step::Climb(TwoProcessFrame::new(1));
                 }
             }
+            input = Resume::Start;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "elimination-path"
     }
 }
 
@@ -293,38 +279,30 @@ mod tests {
     fn splitter_win_sets_combiner_note() {
         // The elimination path must raise Notes::won_splitter for Rule 3
         // of the Section 4 combiner.
-        use rtas_sim::executor::{SubPoll, SubRuntime};
         use rtas_sim::op::MemOp;
-        use rtas_sim::protocol::{Ctx, Notes, Resume};
+        use rtas_sim::protocol::Notes;
         use rtas_sim::rng::SplitMix64;
         let mut mem = Memory::new();
         let path = EliminationPath::new(&mut mem, 2, "ep");
-        let mut rt = SubRuntime::new(path.enter());
+        let mut frame = PathFrame::default();
         let mut rng = SplitMix64::new(0);
         let mut notes = Notes::default();
+        let mut ctx = Ctx {
+            pid: rtas_sim::word::ProcessId(0),
+            rng: &mut rng,
+            notes: &mut notes,
+        };
+        let mut input = Resume::Start;
         loop {
-            let poll = {
-                let mut ctx = Ctx {
-                    pid: rtas_sim::word::ProcessId(0),
-                    rng: &mut rng,
-                    notes: &mut notes,
-                };
-                rt.advance(&mut ctx)
-            };
-            match poll {
-                SubPoll::Finished(v) => {
+            match frame.resume(&path, input, &mut ctx) {
+                Poll::Done(v) => {
                     assert_eq!(v, path_ret::WIN);
                     break;
                 }
-                SubPoll::NeedsOp(op) => {
-                    let input = match op {
-                        MemOp::Read(r) => Resume::Read(mem.read(r).value),
-                        MemOp::Write(r, v) => {
-                            mem.write(r, v, rtas_sim::word::ProcessId(0));
-                            Resume::Wrote
-                        }
-                    };
-                    rt.feed(input);
+                Poll::Op(MemOp::Read(r)) => input = Resume::Read(mem.read(r).value),
+                Poll::Op(MemOp::Write(r, v)) => {
+                    mem.write(r, v, rtas_sim::word::ProcessId(0));
+                    input = Resume::Wrote;
                 }
             }
         }

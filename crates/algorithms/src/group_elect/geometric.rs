@@ -21,7 +21,7 @@
 
 use rtas_sim::memory::Memory;
 use rtas_sim::op::MemOp;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Bound, Ctx, Frame, Poll, Protocol, Resume};
 use rtas_sim::word::{RegId, Word};
 
 use super::GroupElect;
@@ -93,16 +93,13 @@ pub fn ceil_log2(n: usize) -> u32 {
 
 impl GroupElect for GeometricGroupElect {
     fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(GeometricProtocol {
-            ge: *self,
-            state: State::Start,
-            x: 0,
-        })
+        Box::new(Bound::new(*self, GeometricFrame::default()))
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum State {
+    #[default]
     Start,
     ReadFlag,
     WroteFlag,
@@ -110,37 +107,39 @@ enum State {
     ReadNext,
 }
 
-#[derive(Debug)]
-struct GeometricProtocol {
-    ge: GeometricGroupElect,
+/// One `elect()` call, resumed against its [`GeometricGroupElect`].
+#[derive(Debug, Clone, Default)]
+pub struct GeometricFrame {
     state: State,
     x: Word,
 }
 
-impl Protocol for GeometricProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+impl Frame for GeometricFrame {
+    type Object = GeometricGroupElect;
+
+    fn resume(&mut self, ge: &GeometricGroupElect, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         match self.state {
             State::Start => {
                 self.state = State::ReadFlag;
-                Poll::Op(MemOp::Read(self.ge.flag))
+                Poll::Op(MemOp::Read(ge.flag))
             }
             State::ReadFlag => {
                 if input.read_value() == 1 {
                     return Poll::Done(ret::LOSE);
                 }
                 self.state = State::WroteFlag;
-                Poll::Op(MemOp::Write(self.ge.flag, 1))
+                Poll::Op(MemOp::Write(ge.flag, 1))
             }
             State::WroteFlag => {
                 // Line 3: the geometric slot choice. This is the decision
                 // the location-oblivious adversary cannot see.
-                self.x = ctx.rng.geometric_capped(self.ge.ell);
+                self.x = ctx.rng.geometric_capped(ge.ell);
                 self.state = State::WroteSlot;
-                Poll::Op(MemOp::Write(self.ge.r(self.x), 1))
+                Poll::Op(MemOp::Write(ge.r(self.x), 1))
             }
             State::WroteSlot => {
                 self.state = State::ReadNext;
-                Poll::Op(MemOp::Read(self.ge.r(self.x + 1)))
+                Poll::Op(MemOp::Read(ge.r(self.x + 1)))
             }
             State::ReadNext => {
                 if input.read_value() == 0 {
@@ -150,10 +149,6 @@ impl Protocol for GeometricProtocol {
                 }
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "geometric-group-elect"
     }
 }
 

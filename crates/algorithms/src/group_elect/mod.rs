@@ -20,10 +20,10 @@
 mod geometric;
 mod sifter;
 
-pub use geometric::{ceil_log2, GeometricGroupElect};
-pub use sifter::SiftingGroupElect;
+pub use geometric::{ceil_log2, GeometricFrame, GeometricGroupElect};
+pub use sifter::{SiftingFrame, SiftingGroupElect};
 
-use rtas_sim::protocol::{boxed, ret, Const, Protocol};
+use rtas_sim::protocol::{boxed, ret, Const, Ctx, Frame, Poll, Protocol, Resume};
 
 /// A Group Election object.
 ///
@@ -53,6 +53,70 @@ impl DummyGroupElect {
 impl GroupElect for DummyGroupElect {
     fn elect(&self) -> Box<dyn Protocol> {
         boxed(Const(ret::WIN))
+    }
+}
+
+/// The group election of one ladder level.
+///
+/// The paper's ladders use exactly these three kinds, so a level holds its
+/// group election by value, and a ladder frame holds the running group
+/// election's [`GroupElectFrame`] by value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum GroupElection {
+    /// Figure 1's geometric group election.
+    Geometric(GeometricGroupElect),
+    /// One Alistarh–Aspnes sifting round.
+    Sifting(SiftingGroupElect),
+    /// Everyone elected, zero registers, zero steps.
+    Dummy,
+}
+
+impl From<GeometricGroupElect> for GroupElection {
+    fn from(ge: GeometricGroupElect) -> Self {
+        GroupElection::Geometric(ge)
+    }
+}
+
+impl From<SiftingGroupElect> for GroupElection {
+    fn from(ge: SiftingGroupElect) -> Self {
+        GroupElection::Sifting(ge)
+    }
+}
+
+impl GroupElection {
+    /// A frame poised at the start of one `elect()` call.
+    pub fn frame(&self) -> GroupElectFrame {
+        match self {
+            GroupElection::Geometric(_) => GroupElectFrame::Geometric(GeometricFrame::default()),
+            GroupElection::Sifting(_) => GroupElectFrame::Sifting(SiftingFrame::default()),
+            GroupElection::Dummy => GroupElectFrame::Dummy,
+        }
+    }
+}
+
+/// One `elect()` call, resumed against its [`GroupElection`].
+#[derive(Debug, Clone)]
+pub enum GroupElectFrame {
+    /// Running a [`GeometricGroupElect`].
+    Geometric(GeometricFrame),
+    /// Running a [`SiftingGroupElect`].
+    Sifting(SiftingFrame),
+    /// Running the dummy group election.
+    Dummy,
+}
+
+impl Frame for GroupElectFrame {
+    type Object = GroupElection;
+
+    fn resume(&mut self, ge: &GroupElection, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        match (self, ge) {
+            (GroupElectFrame::Geometric(f), GroupElection::Geometric(ge)) => {
+                f.resume(ge, input, ctx)
+            }
+            (GroupElectFrame::Sifting(f), GroupElection::Sifting(ge)) => f.resume(ge, input, ctx),
+            (GroupElectFrame::Dummy, GroupElection::Dummy) => Poll::Done(ret::WIN),
+            (frame, ge) => panic!("{frame:?} resumed against {ge:?}"),
+        }
     }
 }
 

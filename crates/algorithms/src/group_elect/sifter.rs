@@ -13,7 +13,7 @@
 
 use rtas_sim::memory::Memory;
 use rtas_sim::op::MemOp;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Bound, Ctx, Frame, Poll, Protocol, Resume};
 use rtas_sim::word::RegId;
 
 use super::GroupElect;
@@ -60,38 +60,38 @@ impl SiftingGroupElect {
 
 impl GroupElect for SiftingGroupElect {
     fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(SiftingProtocol {
-            ge: *self,
-            state: State::Start,
-        })
+        Box::new(Bound::new(*self, SiftingFrame::default()))
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum State {
+    #[default]
     Start,
     Wrote,
     Read,
 }
 
-#[derive(Debug)]
-struct SiftingProtocol {
-    ge: SiftingGroupElect,
+/// One `elect()` call, resumed against its [`SiftingGroupElect`].
+#[derive(Debug, Clone, Default)]
+pub struct SiftingFrame {
     state: State,
 }
 
-impl Protocol for SiftingProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+impl Frame for SiftingFrame {
+    type Object = SiftingGroupElect;
+
+    fn resume(&mut self, ge: &SiftingGroupElect, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         match self.state {
             State::Start => {
                 // The random read-vs-write decision, invisible to the
                 // R/W-oblivious adversary (it sees only the register).
-                if ctx.rng.bernoulli(self.ge.write_probability) {
+                if ctx.rng.bernoulli(ge.write_probability) {
                     self.state = State::Wrote;
-                    Poll::Op(MemOp::Write(self.ge.reg, 1))
+                    Poll::Op(MemOp::Write(ge.reg, 1))
                 } else {
                     self.state = State::Read;
-                    Poll::Op(MemOp::Read(self.ge.reg))
+                    Poll::Op(MemOp::Read(ge.reg))
                 }
             }
             State::Wrote => Poll::Done(ret::WIN),
@@ -103,10 +103,6 @@ impl Protocol for SiftingProtocol {
                 }
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "sifting-group-elect"
     }
 }
 

@@ -27,12 +27,13 @@
 
 use std::sync::Arc;
 
-use rtas_primitives::{RoleLeaderElect, Splitter, SplitterObject, TwoProcessLe};
+use rtas_primitives::{Elect, SplitFrame, Splitter, TwoProcessFrame, TwoProcessLe};
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Ctx, Frame, Poll, Protocol, Resume};
+use rtas_sim::ready;
 use rtas_sim::word::Word;
 
-use crate::group_elect::GroupElect;
+use crate::group_elect::{GroupElectFrame, GroupElection};
 use crate::LeaderElect;
 
 /// Outcome values of a chain `elect()` (as `Word`s).
@@ -87,16 +88,16 @@ pub enum OverflowPolicy {
 }
 
 struct Level {
-    ge: Arc<dyn GroupElect>,
+    ge: GroupElection,
     sp: Splitter,
     le: TwoProcessLe,
 }
 
-/// The ladder structure: one [`GroupElect`] + splitter + 2-process LE per
-/// level.
+/// The ladder structure: one [`GroupElection`] + splitter + 2-process LE
+/// per level.
 #[derive(Clone)]
 pub struct LeChain {
-    levels: Arc<Vec<Level>>,
+    levels: Arc<[Level]>,
     policy: OverflowPolicy,
 }
 
@@ -118,7 +119,7 @@ impl LeChain {
     /// Panics if `ges` is empty.
     pub fn new(
         memory: &mut Memory,
-        ges: Vec<Arc<dyn GroupElect>>,
+        ges: Vec<GroupElection>,
         policy: OverflowPolicy,
         label: &str,
     ) -> Self {
@@ -131,10 +132,7 @@ impl LeChain {
                 le: TwoProcessLe::new(memory, label),
             })
             .collect();
-        LeChain {
-            levels: Arc::new(levels),
-            policy,
-        }
+        LeChain { levels, policy }
     }
 
     /// Number of levels.
@@ -150,120 +148,102 @@ impl LeChain {
 
     /// Build the `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(ChainProtocol {
-            chain: self.clone(),
-            state: State::Descend,
+        LeaderElect::elect(self)
+    }
+}
+
+impl Elect for LeChain {
+    type Frame = ChainFrame;
+
+    fn frame(&self) -> ChainFrame {
+        ChainFrame {
             level: 0,
-            role: 0,
-        })
+            step: Step::Ge(self.levels[0].ge.frame()),
+        }
     }
 }
 
-impl LeaderElect for LeChain {
-    fn elect(&self) -> Box<dyn Protocol> {
-        LeChain::elect(self)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// About to run `GE_level`.
-    Descend,
-    /// Waiting for `GE_level.elect()`.
-    AfterGe,
-    /// Waiting for `SP_level.split()`.
-    AfterSplit,
-    /// About to run `LE_level` as `role`.
-    Climb,
-    /// Waiting for `LE_level.elect_as(role)`.
-    AfterClimb,
-}
-
-struct ChainProtocol {
-    chain: LeChain,
-    state: State,
+/// One `elect()` call, resumed against its [`LeChain`].
+#[derive(Debug, Clone)]
+pub struct ChainFrame {
     level: usize,
-    role: usize,
+    step: Step,
 }
 
-impl Protocol for ChainProtocol {
-    fn resume(&mut self, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
+#[derive(Debug, Clone)]
+enum Step {
+    /// Running `GE_level`.
+    Ge(GroupElectFrame),
+    /// Running `SP_level`.
+    Split(SplitFrame),
+    /// Climbing through `LE_level`.
+    Climb(TwoProcessFrame),
+}
+
+impl Frame for ChainFrame {
+    type Object = LeChain;
+
+    fn resume(&mut self, chain: &LeChain, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         loop {
-            match self.state {
-                State::Descend => {
-                    self.state = State::AfterGe;
-                    return Poll::Call(self.chain.levels[self.level].ge.elect());
-                }
-                State::AfterGe => {
-                    if input.child_value() == ret::LOSE {
+            let level = &chain.levels[self.level];
+            match &mut self.step {
+                Step::Ge(ge) => {
+                    if ready!(ge.resume(&level.ge, input, ctx)) == ret::LOSE {
                         return Poll::Done(chain_ret::LOSE);
                     }
-                    self.state = State::AfterSplit;
-                    return Poll::Call(self.chain.levels[self.level].sp.split());
+                    self.step = Step::Split(SplitFrame::default());
                 }
-                State::AfterSplit => {
-                    match input.child_value() {
-                        v if v == ret::SPLIT_LEFT => return Poll::Done(chain_ret::LOSE),
-                        v if v == ret::SPLIT_STOP => {
-                            self.role = 0;
-                            self.state = State::Climb;
-                            // fall through the loop to Climb
-                        }
-                        v if v == ret::SPLIT_RIGHT => {
-                            self.level += 1;
-                            if self.level == self.chain.levels.len() {
-                                return match self.chain.policy {
-                                    OverflowPolicy::Lose => Poll::Done(chain_ret::LOSE),
-                                    OverflowPolicy::Overflow => Poll::Done(chain_ret::OVERFLOW),
-                                };
-                            }
-                            self.state = State::Descend;
-                        }
-                        other => panic!("invalid splitter result {other}"),
+                Step::Split(sp) => match ready!(sp.resume(&level.sp, input, ctx)) {
+                    ret::SPLIT_LEFT => return Poll::Done(chain_ret::LOSE),
+                    ret::SPLIT_STOP => self.step = Step::Climb(TwoProcessFrame::new(0)),
+                    ret::SPLIT_RIGHT => {
+                        self.level += 1;
+                        let Some(next) = chain.levels.get(self.level) else {
+                            return match chain.policy {
+                                OverflowPolicy::Lose => Poll::Done(chain_ret::LOSE),
+                                OverflowPolicy::Overflow => Poll::Done(chain_ret::OVERFLOW),
+                            };
+                        };
+                        self.step = Step::Ge(next.ge.frame());
                     }
-                }
-                State::Climb => {
-                    self.state = State::AfterClimb;
-                    return Poll::Call(self.chain.levels[self.level].le.elect_as(self.role));
-                }
-                State::AfterClimb => {
-                    if input.child_value() == ret::LOSE {
+                    other => panic!("invalid splitter result {other}"),
+                },
+                Step::Climb(le) => {
+                    if ready!(le.resume(&level.le, input, ctx)) == ret::LOSE {
                         return Poll::Done(chain_ret::LOSE);
                     }
                     if self.level == 0 {
                         return Poll::Done(chain_ret::WIN);
                     }
                     self.level -= 1;
-                    self.role = 1;
-                    self.state = State::Climb;
+                    self.step = Step::Climb(TwoProcessFrame::new(1));
                 }
             }
+            input = Resume::Start;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "le-chain"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group_elect::{DummyGroupElect, GeometricGroupElect};
+    use crate::group_elect::GeometricGroupElect;
     use rtas_sim::adversary::{RandomSchedule, RoundRobin};
     use rtas_sim::executor::Execution;
     use rtas_sim::word::ProcessId;
 
     fn dummy_chain(memory: &mut Memory, levels: usize) -> LeChain {
-        let ges: Vec<Arc<dyn GroupElect>> = (0..levels)
-            .map(|_| Arc::new(DummyGroupElect::new()) as Arc<dyn GroupElect>)
-            .collect();
-        LeChain::new(memory, ges, OverflowPolicy::Lose, "chain")
+        LeChain::new(
+            memory,
+            vec![GroupElection::Dummy; levels],
+            OverflowPolicy::Lose,
+            "chain",
+        )
     }
 
     fn geometric_chain(memory: &mut Memory, n: usize) -> LeChain {
-        let ges: Vec<Arc<dyn GroupElect>> = (0..n)
-            .map(|_| Arc::new(GeometricGroupElect::new(memory, n, "ge")) as Arc<dyn GroupElect>)
+        let ges = (0..n)
+            .map(|_| GeometricGroupElect::new(memory, n, "ge").into())
             .collect();
         LeChain::new(memory, ges, OverflowPolicy::Lose, "chain")
     }
@@ -336,12 +316,12 @@ mod tests {
         // One level, two processes: with a dummy GE both get elected; the
         // splitter lets at most one through to level 2 = overflow.
         let mut mem = Memory::new();
-        let ges: Vec<Arc<dyn GroupElect>> = vec![Arc::new(DummyGroupElect::new())];
+        let ges = vec![GroupElection::Dummy];
         let chain = LeChain::new(&mut mem, ges, OverflowPolicy::Overflow, "chain");
         let mut overflow_seen = false;
         for seed in 0..60 {
             let mut mem = Memory::new();
-            let ges: Vec<Arc<dyn GroupElect>> = vec![Arc::new(DummyGroupElect::new())];
+            let ges = vec![GroupElection::Dummy];
             let chain2 = LeChain::new(&mut mem, ges, OverflowPolicy::Overflow, "chain");
             let protos = (0..2).map(|_| chain2.elect()).collect();
             let res = Execution::new(mem, protos, seed).run(&mut RandomSchedule::new(seed));

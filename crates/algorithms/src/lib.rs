@@ -21,6 +21,13 @@
 //! * [`combined`] — the adversary-independence combiner of Section 4
 //!   (Theorem 4.1): run any weak-adversary algorithm alongside RatRace and
 //!   inherit the best step complexity of both.
+//!
+//! Each leader election implements [`rtas_primitives::Elect`]: one
+//! `elect()` call is a frame (`ChainFrame`, `RatRaceFrame`,
+//! `CombinedFrame`, …) resumed against the borrowed object, holding the
+//! frames of the sub-objects it runs by value — no boxing, reference
+//! counting or dynamic dispatch on the way down. `elect()` boxes a frame
+//! with a clone of the object for the simulator.
 //! * [`attacks`] — concrete adaptive-adversary strategies, including the
 //!   ascending-write attack that forces Ω(k) steps on the log* algorithm
 //!   (the observation motivating Section 4).
@@ -57,6 +64,8 @@
 //!
 //! [`Memory::reset_values`]: rtas_sim::memory::Memory::reset_values
 
+#![forbid(unsafe_code)]
+
 pub mod attacks;
 pub mod combined;
 pub mod elimination_path;
@@ -66,11 +75,13 @@ pub mod loglog;
 pub mod logstar;
 pub mod ratrace;
 
-pub use rtas_primitives::LeaderElect;
+pub use rtas_primitives::{Elect, LeaderElect};
 
 pub use combined::Combined;
 pub use elimination_path::EliminationPath;
-pub use group_elect::{DummyGroupElect, GeometricGroupElect, GroupElect, SiftingGroupElect};
+pub use group_elect::{
+    DummyGroupElect, GeometricGroupElect, GroupElect, GroupElection, SiftingGroupElect,
+};
 pub use le_chain::{ChainOutcome, LeChain, OverflowPolicy};
 pub use loglog::{AaLe, LogLogLe};
 pub use logstar::LogStarLe;

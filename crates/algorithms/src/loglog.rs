@@ -24,12 +24,13 @@
 
 use std::sync::Arc;
 
-use rtas_primitives::{RoleLeaderElect, TwoProcessLe};
+use rtas_primitives::{Elect, TwoProcessFrame, TwoProcessLe};
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Ctx, Frame, Poll, Protocol, Resume};
+use rtas_sim::ready;
 
-use crate::group_elect::{ceil_log2, DummyGroupElect, GroupElect, SiftingGroupElect};
-use crate::le_chain::{chain_ret, LeChain, OverflowPolicy};
+use crate::group_elect::{ceil_log2, GroupElection, SiftingGroupElect};
+use crate::le_chain::{chain_ret, ChainFrame, LeChain, OverflowPolicy};
 use crate::LeaderElect;
 
 /// The **non-adaptive** Alistarh–Aspnes leader election (the prior work
@@ -56,13 +57,11 @@ impl AaLe {
         let n_eff = n.max(4);
         let rounds = sifting_rounds(n_eff);
         let probs = sifting_probabilities(n_eff, rounds);
-        let mut ges: Vec<Arc<dyn GroupElect>> = probs
+        let mut ges: Vec<GroupElection> = probs
             .iter()
-            .map(|&p| Arc::new(SiftingGroupElect::new(memory, p, "aa-sift")) as Arc<dyn GroupElect>)
+            .map(|&p| SiftingGroupElect::new(memory, p, "aa-sift").into())
             .collect();
-        while ges.len() < n_eff {
-            ges.push(Arc::new(DummyGroupElect::new()));
-        }
+        ges.resize(ges.len().max(n_eff), GroupElection::Dummy);
         let chain = LeChain::new(memory, ges, OverflowPolicy::Lose, "aa-ladder");
         AaLe {
             chain,
@@ -77,13 +76,28 @@ impl AaLe {
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        self.chain.elect()
+        LeaderElect::elect(self)
     }
 }
 
-impl LeaderElect for AaLe {
-    fn elect(&self) -> Box<dyn Protocol> {
-        AaLe::elect(self)
+impl Elect for AaLe {
+    type Frame = AaFrame;
+
+    fn frame(&self) -> AaFrame {
+        AaFrame(self.chain.frame())
+    }
+}
+
+/// One `elect()` call, resumed against its [`AaLe`].
+#[derive(Debug, Clone)]
+pub struct AaFrame(ChainFrame);
+
+impl Frame for AaFrame {
+    type Object = AaLe;
+
+    #[inline]
+    fn resume(&mut self, le: &AaLe, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        self.0.resume(&le.chain, input, ctx)
     }
 }
 
@@ -153,19 +167,14 @@ impl LogLogLe {
         for (j, &cap) in caps.iter().enumerate() {
             let rounds = sifting_rounds(cap);
             let probs = sifting_probabilities(cap, rounds);
-            let mut ges: Vec<Arc<dyn GroupElect>> = probs
+            let mut ges: Vec<GroupElection> = probs
                 .iter()
-                .map(|&p| {
-                    Arc::new(SiftingGroupElect::new(memory, p, "loglog-sift"))
-                        as Arc<dyn GroupElect>
-                })
+                .map(|&p| SiftingGroupElect::new(memory, p, "loglog-sift").into())
                 .collect();
             let policy = if j == last {
                 // Final stage: pad with dummies to n levels so the ladder
                 // can never overflow (each splitter retires ≥ 1 process).
-                while ges.len() < n_eff {
-                    ges.push(Arc::new(DummyGroupElect::new()));
-                }
+                ges.resize(ges.len().max(n_eff), GroupElection::Dummy);
                 OverflowPolicy::Lose
             } else {
                 OverflowPolicy::Overflow
@@ -194,84 +203,68 @@ impl LogLogLe {
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(LogLogProtocol {
-            le: self.clone(),
-            state: State::Stage,
+        LeaderElect::elect(self)
+    }
+}
+
+impl Elect for LogLogLe {
+    type Frame = LogLogFrame;
+
+    fn frame(&self) -> LogLogFrame {
+        LogLogFrame {
             index: 0,
-        })
+            step: Step::Stage(self.stages[0].frame()),
+        }
     }
 }
 
-impl LeaderElect for LogLogLe {
-    fn elect(&self) -> Box<dyn Protocol> {
-        LogLogLe::elect(self)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// About to enter ladder `index`.
-    Stage,
-    /// Waiting for ladder `index`.
-    AfterStage,
-    /// About to play final `index` as role 0 (fresh stage winner).
-    FinalAsWinner,
-    /// About to play final `index` as role 1 (came from final `index+1`).
-    FinalAsClimber,
-    /// Waiting for final `index` (previous role in `came_as_winner`).
-    AfterFinal,
-}
-
-struct LogLogProtocol {
-    le: LogLogLe,
-    state: State,
+/// One `elect()` call, resumed against its [`LogLogLe`].
+#[derive(Debug, Clone)]
+pub struct LogLogFrame {
     index: usize,
+    step: Step,
 }
 
-impl Protocol for LogLogProtocol {
-    fn resume(&mut self, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
+#[derive(Debug, Clone)]
+enum Step {
+    /// Running ladder `index`.
+    Stage(ChainFrame),
+    /// Running final `index` (role 0 as a fresh stage winner, role 1 when
+    /// climbing from final `index + 1`).
+    Final(TwoProcessFrame),
+}
+
+impl Frame for LogLogFrame {
+    type Object = LogLogLe;
+
+    fn resume(&mut self, le: &LogLogLe, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         loop {
-            match self.state {
-                State::Stage => {
-                    self.state = State::AfterStage;
-                    return Poll::Call(self.le.stages[self.index].elect());
-                }
-                State::AfterStage => match input.child_value() {
-                    v if v == chain_ret::WIN => {
-                        self.state = State::FinalAsWinner;
+            match &mut self.step {
+                Step::Stage(stage) => {
+                    match ready!(stage.resume(&le.stages[self.index], input, ctx)) {
+                        chain_ret::WIN => self.step = Step::Final(TwoProcessFrame::new(0)),
+                        chain_ret::LOSE => return Poll::Done(ret::LOSE),
+                        chain_ret::OVERFLOW => {
+                            self.index += 1;
+                            debug_assert!(self.index < le.stages.len());
+                            self.step = Step::Stage(le.stages[self.index].frame());
+                        }
+                        other => panic!("invalid stage result {other}"),
                     }
-                    v if v == chain_ret::LOSE => return Poll::Done(ret::LOSE),
-                    v if v == chain_ret::OVERFLOW => {
-                        self.index += 1;
-                        debug_assert!(self.index < self.le.stages.len());
-                        self.state = State::Stage;
-                    }
-                    other => panic!("invalid stage result {other}"),
-                },
-                State::FinalAsWinner => {
-                    self.state = State::AfterFinal;
-                    return Poll::Call(self.le.finals[self.index].elect_as(0));
                 }
-                State::FinalAsClimber => {
-                    self.state = State::AfterFinal;
-                    return Poll::Call(self.le.finals[self.index].elect_as(1));
-                }
-                State::AfterFinal => {
-                    if input.child_value() == ret::LOSE {
+                Step::Final(fin) => {
+                    if ready!(fin.resume(&le.finals[self.index], input, ctx)) == ret::LOSE {
                         return Poll::Done(ret::LOSE);
                     }
                     if self.index == 0 {
                         return Poll::Done(ret::WIN);
                     }
                     self.index -= 1;
-                    self.state = State::FinalAsClimber;
+                    self.step = Step::Final(TwoProcessFrame::new(1));
                 }
             }
+            input = Resume::Start;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "loglog-le"
     }
 }
 

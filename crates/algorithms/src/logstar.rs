@@ -17,13 +17,12 @@
 //! shows the adaptive adversary forcing Ω(k) on this same algorithm — the
 //! observation motivating Section 4's combiner.
 
-use std::sync::Arc;
-
+use rtas_primitives::Elect;
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::Protocol;
+use rtas_sim::protocol::{Ctx, Frame, Poll, Protocol, Resume};
 
-use crate::group_elect::{DummyGroupElect, GeometricGroupElect, GroupElect};
-use crate::le_chain::{LeChain, OverflowPolicy};
+use crate::group_elect::{GeometricGroupElect, GroupElection};
+use crate::le_chain::{ChainFrame, LeChain, OverflowPolicy};
 use crate::LeaderElect;
 
 /// The Theorem 2.3 leader election.
@@ -61,17 +60,11 @@ impl LogStarLe {
         assert!(n >= 1, "need at least one process");
         let n_eff = n.max(2);
         assert!(real_levels <= n_eff, "more real levels than ladder levels");
-        let mut ges: Vec<Arc<dyn GroupElect>> = Vec::with_capacity(n_eff);
+        let mut ges: Vec<GroupElection> = Vec::with_capacity(n_eff);
         for _ in 0..real_levels {
-            ges.push(Arc::new(GeometricGroupElect::new(
-                memory,
-                n_eff,
-                "logstar-ge",
-            )));
+            ges.push(GeometricGroupElect::new(memory, n_eff, "logstar-ge").into());
         }
-        for _ in real_levels..n_eff {
-            ges.push(Arc::new(DummyGroupElect::new()));
-        }
+        ges.resize(n_eff, GroupElection::Dummy);
         let chain = LeChain::new(memory, ges, OverflowPolicy::Lose, "logstar-ladder");
         LogStarLe {
             chain,
@@ -97,13 +90,28 @@ impl LogStarLe {
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        self.chain.elect()
+        LeaderElect::elect(self)
     }
 }
 
-impl LeaderElect for LogStarLe {
-    fn elect(&self) -> Box<dyn Protocol> {
-        LogStarLe::elect(self)
+impl Elect for LogStarLe {
+    type Frame = LogStarFrame;
+
+    fn frame(&self) -> LogStarFrame {
+        LogStarFrame(self.chain.frame())
+    }
+}
+
+/// One `elect()` call, resumed against its [`LogStarLe`].
+#[derive(Debug, Clone)]
+pub struct LogStarFrame(ChainFrame);
+
+impl Frame for LogStarFrame {
+    type Object = LogStarLe;
+
+    #[inline]
+    fn resume(&mut self, le: &LogStarLe, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        self.0.resume(&le.chain, input, ctx)
     }
 }
 

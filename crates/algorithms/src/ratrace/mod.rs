@@ -19,5 +19,5 @@
 mod original;
 mod space_efficient;
 
-pub use original::OriginalRatRace;
-pub use space_efficient::SpaceEfficientRatRace;
+pub use original::{OriginalFrame, OriginalRatRace};
+pub use space_efficient::{RatRaceFrame, SpaceEfficientRatRace};

@@ -18,10 +18,12 @@
 use std::sync::Arc;
 
 use rtas_primitives::{
-    RSplitter, RoleLeaderElect, Splitter, SplitterObject, ThreeProcessLe, TwoProcessLe,
+    Elect, RSplitFrame, RSplitter, SplitFrame, Splitter, ThreeProcessFrame, ThreeProcessLe,
+    TwoProcessFrame, TwoProcessLe,
 };
 use rtas_sim::memory::{Memory, RegRange};
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Ctx, Frame, Poll, Protocol, Resume};
+use rtas_sim::ready;
 
 use crate::group_elect::ceil_log2;
 use crate::LeaderElect;
@@ -123,156 +125,132 @@ impl OriginalRatRace {
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(OriginalProtocol {
-            rr: self.clone(),
-            state: State::TreeSplit,
+        LeaderElect::elect(self)
+    }
+}
+
+impl Elect for OriginalRatRace {
+    type Frame = OriginalFrame;
+
+    fn frame(&self) -> OriginalFrame {
+        OriginalFrame {
             node: 1,
-            role: 2,
             gi: 0,
             gj: 0,
             grid_path: Vec::new(),
-        })
+            step: Step::TreeSplit(RSplitFrame::default()),
+        }
     }
 }
 
-impl LeaderElect for OriginalRatRace {
-    fn elect(&self) -> Box<dyn Protocol> {
-        OriginalRatRace::elect(self)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    TreeSplit,
-    AfterTreeSplit,
-    TreeClimb,
-    AfterTreeClimb,
-    GridSplit,
-    AfterGridSplit,
-    GridClimb,
-    AfterGridClimb,
-    AfterTop,
-}
-
-struct OriginalProtocol {
-    rr: OriginalRatRace,
-    state: State,
+/// One `elect()` call, resumed against its [`OriginalRatRace`].
+#[derive(Debug, Clone)]
+pub struct OriginalFrame {
     /// Tree heap index during tree phases.
     node: u64,
-    /// Role for the next 3-process election.
-    role: usize,
     /// Grid coordinates during grid phases.
     gi: u64,
     gj: u64,
     /// Descent path through the grid: `true` = moved down (`L`, i+1),
     /// `false` = moved right (`R`, j+1). Needed to climb back.
     grid_path: Vec<bool>,
+    step: Step,
 }
 
-impl Protocol for OriginalProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
-        let s = Arc::clone(&self.rr.s);
+#[derive(Debug, Clone)]
+enum Step {
+    TreeSplit(RSplitFrame),
+    TreeClimb(ThreeProcessFrame),
+    GridSplit(SplitFrame),
+    GridClimb(ThreeProcessFrame),
+    Top(TwoProcessFrame),
+}
+
+impl Frame for OriginalFrame {
+    type Object = OriginalRatRace;
+
+    fn resume(&mut self, rr: &OriginalRatRace, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        let s = &*rr.s;
         loop {
-            match self.state {
-                State::TreeSplit => {
-                    self.state = State::AfterTreeSplit;
-                    return Poll::Call(s.tree_node(self.node).0.split());
-                }
-                State::AfterTreeSplit => match input.child_value() {
-                    v if v == ret::SPLIT_STOP => {
+            match &mut self.step {
+                Step::TreeSplit(sp) => {
+                    let v = ready!(sp.resume(&s.tree_node(self.node).0, input, ctx));
+                    if v == ret::SPLIT_STOP {
                         ctx.notes.won_splitter = true;
-                        self.role = 2;
-                        self.state = State::TreeClimb;
-                    }
-                    v => {
+                        self.step = Step::TreeClimb(ThreeProcessFrame::new(2));
+                    } else {
                         let child = 2 * self.node + u64::from(v == ret::SPLIT_RIGHT);
                         if child > s.tree_nodes {
                             // Fell off the tree: enter the grid at (0,0).
                             self.gi = 0;
                             self.gj = 0;
                             self.grid_path.clear();
-                            self.state = State::GridSplit;
+                            self.step = Step::GridSplit(SplitFrame::default());
                         } else {
                             self.node = child;
-                            self.state = State::TreeSplit;
+                            self.step = Step::TreeSplit(RSplitFrame::default());
                         }
                     }
-                },
-                State::TreeClimb => {
-                    self.state = State::AfterTreeClimb;
-                    return Poll::Call(s.tree_node(self.node).1.elect_as(self.role));
                 }
-                State::AfterTreeClimb => {
-                    if input.child_value() == ret::LOSE {
+                Step::TreeClimb(le) => {
+                    if ready!(le.resume(&s.tree_node(self.node).1, input, ctx)) == ret::LOSE {
                         return Poll::Done(ret::LOSE);
                     }
                     if self.node == 1 {
-                        self.state = State::AfterTop;
-                        return Poll::Call(s.letop.elect_as(0));
+                        self.step = Step::Top(TwoProcessFrame::new(0));
+                    } else {
+                        let role = (self.node % 2) as usize;
+                        self.node /= 2;
+                        self.step = Step::TreeClimb(ThreeProcessFrame::new(role));
                     }
-                    self.role = (self.node % 2) as usize;
-                    self.node /= 2;
-                    self.state = State::TreeClimb;
                 }
-                State::GridSplit => {
-                    self.state = State::AfterGridSplit;
-                    return Poll::Call(s.grid_node(self.gi, self.gj).0.split());
+                Step::GridSplit(sp) => {
+                    match ready!(sp.resume(&s.grid_node(self.gi, self.gj).0, input, ctx)) {
+                        ret::SPLIT_STOP => {
+                            ctx.notes.won_splitter = true;
+                            self.step = Step::GridClimb(ThreeProcessFrame::new(2));
+                        }
+                        ret::SPLIT_LEFT => {
+                            // Deterministic splitters guarantee a win before
+                            // the grid's edge for k ≤ n processes.
+                            assert!(self.gi + 1 < s.n, "fell off the grid (L edge)");
+                            self.gi += 1;
+                            self.grid_path.push(true);
+                            self.step = Step::GridSplit(SplitFrame::default());
+                        }
+                        ret::SPLIT_RIGHT => {
+                            assert!(self.gj + 1 < s.n, "fell off the grid (R edge)");
+                            self.gj += 1;
+                            self.grid_path.push(false);
+                            self.step = Step::GridSplit(SplitFrame::default());
+                        }
+                        other => panic!("invalid splitter result {other}"),
+                    }
                 }
-                State::AfterGridSplit => match input.child_value() {
-                    v if v == ret::SPLIT_STOP => {
-                        ctx.notes.won_splitter = true;
-                        self.role = 2;
-                        self.state = State::GridClimb;
-                    }
-                    v if v == ret::SPLIT_LEFT => {
-                        // Deterministic splitters guarantee a win before the
-                        // grid's edge for k ≤ n processes.
-                        assert!(self.gi + 1 < s.n, "fell off the grid (L edge)");
-                        self.gi += 1;
-                        self.grid_path.push(true);
-                        self.state = State::GridSplit;
-                    }
-                    v if v == ret::SPLIT_RIGHT => {
-                        assert!(self.gj + 1 < s.n, "fell off the grid (R edge)");
-                        self.gj += 1;
-                        self.grid_path.push(false);
-                        self.state = State::GridSplit;
-                    }
-                    other => panic!("invalid splitter result {other}"),
-                },
-                State::GridClimb => {
-                    self.state = State::AfterGridClimb;
-                    return Poll::Call(s.grid_node(self.gi, self.gj).1.elect_as(self.role));
-                }
-                State::AfterGridClimb => {
-                    if input.child_value() == ret::LOSE {
+                Step::GridClimb(le) => {
+                    let v = ready!(le.resume(&s.grid_node(self.gi, self.gj).1, input, ctx));
+                    if v == ret::LOSE {
                         return Poll::Done(ret::LOSE);
                     }
                     match self.grid_path.pop() {
-                        None => {
-                            // Back at (0,0): grid winner.
-                            self.state = State::AfterTop;
-                            return Poll::Call(s.letop.elect_as(1));
-                        }
+                        // Back at (0,0): grid winner.
+                        None => self.step = Step::Top(TwoProcessFrame::new(1)),
                         Some(went_down) => {
-                            if went_down {
+                            let role = if went_down {
                                 self.gi -= 1;
-                                self.role = 0;
+                                0
                             } else {
                                 self.gj -= 1;
-                                self.role = 1;
-                            }
-                            self.state = State::GridClimb;
+                                1
+                            };
+                            self.step = Step::GridClimb(ThreeProcessFrame::new(role));
                         }
                     }
                 }
-                State::AfterTop => return Poll::Done(input.child_value()),
+                Step::Top(le) => return le.resume(&s.letop, input, ctx),
             }
+            input = Resume::Start;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "original-ratrace"
     }
 }
 

@@ -22,11 +22,14 @@
 
 use std::sync::Arc;
 
-use rtas_primitives::{RSplitter, RoleLeaderElect, SplitterObject, ThreeProcessLe, TwoProcessLe};
+use rtas_primitives::{
+    Elect, RSplitFrame, RSplitter, ThreeProcessFrame, ThreeProcessLe, TwoProcessFrame, TwoProcessLe,
+};
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Ctx, Frame, Poll, Protocol, Resume};
+use rtas_sim::ready;
 
-use crate::elimination_path::{path_ret, EliminationPath};
+use crate::elimination_path::{path_ret, EliminationPath, PathFrame};
 use crate::group_elect::ceil_log2;
 use crate::LeaderElect;
 
@@ -124,106 +127,84 @@ impl SpaceEfficientRatRace {
 
     /// Build the per-process `elect()` protocol.
     pub fn elect(&self) -> Box<dyn Protocol> {
-        Box::new(RatRaceProtocol {
-            rr: self.clone(),
-            state: State::Split,
+        LeaderElect::elect(self)
+    }
+}
+
+impl Elect for SpaceEfficientRatRace {
+    type Frame = RatRaceFrame;
+
+    fn frame(&self) -> RatRaceFrame {
+        RatRaceFrame {
             node: 1,
-            role: 2,
-        })
+            step: Step::Split(RSplitFrame::default()),
+        }
     }
 }
 
-impl LeaderElect for SpaceEfficientRatRace {
-    fn elect(&self) -> Box<dyn Protocol> {
-        SpaceEfficientRatRace::elect(self)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// About to try the splitter at `node`.
-    Split,
-    /// Waiting for the splitter at `node`.
-    AfterSplit,
-    /// About to enter the overflow path for leaf `node`.
-    EnterPath,
-    /// Waiting for the overflow path (index stored in `node`).
-    AfterPath,
-    /// Waiting for the backup path.
-    AfterBackup,
-    /// About to play the 3-process election at `node` as `role`.
-    Climb,
-    /// Waiting for the 3-process election at `node`.
-    AfterClimb,
-    /// Waiting for the top 2-process election.
-    AfterTop,
-}
-
-struct RatRaceProtocol {
-    rr: SpaceEfficientRatRace,
-    state: State,
-    /// Current tree node (heap index) or path index, depending on state.
+/// One `elect()` call, resumed against its [`SpaceEfficientRatRace`].
+#[derive(Debug, Clone)]
+pub struct RatRaceFrame {
+    /// Current tree node (heap index), or overflow path index while on a
+    /// path.
     node: usize,
-    /// Role for the next 3-process election.
-    role: usize,
+    step: Step,
 }
 
-impl Protocol for RatRaceProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
-        let s = &self.rr.s;
+#[derive(Debug, Clone)]
+enum Step {
+    /// Running the splitter at `node`.
+    Split(RSplitFrame),
+    /// Running overflow path `node`.
+    Path(PathFrame),
+    /// Running the backup path.
+    Backup(PathFrame),
+    /// Running the 3-process election at `node`.
+    Climb(ThreeProcessFrame),
+    /// Running the top 2-process election.
+    Top(TwoProcessFrame),
+}
+
+impl Frame for RatRaceFrame {
+    type Object = SpaceEfficientRatRace;
+
+    fn resume(&mut self, rr: &SpaceEfficientRatRace, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        let s = &*rr.s;
         loop {
-            match self.state {
-                State::Split => {
-                    self.state = State::AfterSplit;
-                    return Poll::Call(s.nodes[self.node].rsp.split());
-                }
-                State::AfterSplit => {
-                    match input.child_value() {
-                        v if v == ret::SPLIT_STOP => {
-                            ctx.notes.won_splitter = true;
-                            self.role = 2;
-                            self.state = State::Climb;
-                        }
-                        v => {
-                            let child = 2 * self.node + usize::from(v == ret::SPLIT_RIGHT);
-                            if child >= s.nodes.len() {
-                                // Fell off a leaf: leaf index j, enter
-                                // overflow path ⌊j / log n⌋.
-                                let leaf_j = self.node - s.leaf_base;
-                                self.node = (leaf_j / s.log_n).min(s.paths.len() - 1);
-                                self.state = State::EnterPath;
-                            } else {
-                                self.node = child;
-                                self.state = State::Split;
-                            }
+            match &mut self.step {
+                Step::Split(sp) => {
+                    let v = ready!(sp.resume(&s.nodes[self.node].rsp, input, ctx));
+                    if v == ret::SPLIT_STOP {
+                        ctx.notes.won_splitter = true;
+                        self.step = Step::Climb(ThreeProcessFrame::new(2));
+                    } else {
+                        let child = 2 * self.node + usize::from(v == ret::SPLIT_RIGHT);
+                        if child >= s.nodes.len() {
+                            // Fell off a leaf: leaf index j, enter
+                            // overflow path ⌊j / log n⌋.
+                            let leaf_j = self.node - s.leaf_base;
+                            self.node = (leaf_j / s.log_n).min(s.paths.len() - 1);
+                            self.step = Step::Path(PathFrame::default());
+                        } else {
+                            self.node = child;
+                            self.step = Step::Split(RSplitFrame::default());
                         }
                     }
                 }
-                State::EnterPath => {
-                    self.state = State::AfterPath;
-                    return Poll::Call(s.paths[self.node].enter());
-                }
-                State::AfterPath => match input.child_value() {
-                    v if v == path_ret::WIN => {
+                Step::Path(path) => match ready!(path.resume(&s.paths[self.node], input, ctx)) {
+                    path_ret::WIN => {
                         // Re-enter the tree at leaf `path index` as role 0.
                         self.node += s.leaf_base;
-                        self.role = 0;
-                        self.state = State::Climb;
+                        self.step = Step::Climb(ThreeProcessFrame::new(0));
                     }
-                    v if v == path_ret::LOSE => return Poll::Done(ret::LOSE),
-                    v if v == path_ret::FELL_OFF => {
-                        self.state = State::AfterBackup;
-                        return Poll::Call(s.backup.enter());
-                    }
+                    path_ret::LOSE => return Poll::Done(ret::LOSE),
+                    path_ret::FELL_OFF => self.step = Step::Backup(PathFrame::default()),
                     other => panic!("invalid path result {other}"),
                 },
-                State::AfterBackup => match input.child_value() {
-                    v if v == path_ret::WIN => {
-                        self.state = State::AfterTop;
-                        return Poll::Call(s.letop.elect_as(1));
-                    }
-                    v if v == path_ret::LOSE => return Poll::Done(ret::LOSE),
-                    v if v == path_ret::FELL_OFF => {
+                Step::Backup(path) => match ready!(path.resume(&s.backup, input, ctx)) {
+                    path_ret::WIN => self.step = Step::Top(TwoProcessFrame::new(1)),
+                    path_ret::LOSE => return Poll::Done(ret::LOSE),
+                    path_ret::FELL_OFF => {
                         // Unreachable with k ≤ n entrants (Claim 3.1);
                         // losing is the safe fallback.
                         debug_assert!(false, "backup path overflow with k <= n");
@@ -231,31 +212,25 @@ impl Protocol for RatRaceProtocol {
                     }
                     other => panic!("invalid backup result {other}"),
                 },
-                State::Climb => {
-                    self.state = State::AfterClimb;
-                    return Poll::Call(s.nodes[self.node].le.elect_as(self.role));
-                }
-                State::AfterClimb => {
-                    if input.child_value() == ret::LOSE {
+                Step::Climb(le) => {
+                    if ready!(le.resume(&s.nodes[self.node].le, input, ctx)) == ret::LOSE {
                         return Poll::Done(ret::LOSE);
                     }
                     if self.node == 1 {
-                        self.state = State::AfterTop;
-                        return Poll::Call(s.letop.elect_as(0));
+                        self.step = Step::Top(TwoProcessFrame::new(0));
+                    } else {
+                        // Move to the parent; the role encodes which child
+                        // we came from (even heap index = left child =
+                        // role 0).
+                        let role = self.node % 2;
+                        self.node /= 2;
+                        self.step = Step::Climb(ThreeProcessFrame::new(role));
                     }
-                    // Move to the parent; the role encodes which child we
-                    // came from (even heap index = left child = role 0).
-                    self.role = self.node % 2;
-                    self.node /= 2;
-                    self.state = State::Climb;
                 }
-                State::AfterTop => return Poll::Done(input.child_value()),
+                Step::Top(le) => return le.resume(&s.letop, input, ctx),
             }
+            input = Resume::Start;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "space-efficient-ratrace"
     }
 }
 

@@ -43,6 +43,8 @@
 //! construction. They are `Sync` — share them by reference across
 //! threads.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod native;
 pub mod once;
@@ -62,9 +64,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rtas_algorithms::{Combined, LogLogLe, LogStarLe, SpaceEfficientRatRace};
-use rtas_primitives::LeaderElect;
+use rtas_primitives::Elect;
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::ret;
+use rtas_sim::protocol::{ret, Bound};
+use rtas_sim::word::Word;
 
 use native::{NativeMemory, NativeRunner};
 
@@ -110,8 +113,16 @@ impl Backend {
     }
 }
 
+/// The algorithm object behind an [`Inner`], held by value.
+enum Algorithm {
+    LogStar(LogStarLe),
+    LogLog(LogLogLe),
+    RatRace(SpaceEfficientRatRace),
+    Combined(Combined<LogStarLe>),
+}
+
 struct Inner {
-    le: Arc<dyn LeaderElect>,
+    algorithm: Algorithm,
     memory: NativeMemory,
     registers: u64,
     capacity: usize,
@@ -122,19 +133,19 @@ struct Inner {
 fn build(backend: Backend, capacity: usize) -> Inner {
     assert!(capacity >= 1, "capacity must be at least 1");
     let mut mem = Memory::new();
-    let le: Arc<dyn LeaderElect> = match backend {
-        Backend::LogStar => Arc::new(LogStarLe::new(&mut mem, capacity)),
-        Backend::LogLog => Arc::new(LogLogLe::new(&mut mem, capacity)),
-        Backend::RatRace => Arc::new(SpaceEfficientRatRace::new(&mut mem, capacity)),
+    let algorithm = match backend {
+        Backend::LogStar => Algorithm::LogStar(LogStarLe::new(&mut mem, capacity)),
+        Backend::LogLog => Algorithm::LogLog(LogLogLe::new(&mut mem, capacity)),
+        Backend::RatRace => Algorithm::RatRace(SpaceEfficientRatRace::new(&mut mem, capacity)),
         Backend::Combined => {
             let weak = Arc::new(LogStarLe::new(&mut mem, capacity));
-            Arc::new(Combined::new(&mut mem, weak, capacity))
+            Algorithm::Combined(Combined::new(&mut mem, weak, capacity))
         }
     };
     let registers = mem.declared_registers();
     let memory = NativeMemory::from_layout(&mem);
     Inner {
-        le,
+        algorithm,
         memory,
         registers,
         capacity,
@@ -159,7 +170,19 @@ impl Inner {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(slot as u64)
             .wrapping_add(self.memory.epoch().wrapping_mul(0x9e37_79b9));
-        runner.run(self.le.elect(), &self.memory, slot, seed) == ret::WIN
+        let result = match &self.algorithm {
+            Algorithm::LogStar(le) => self.run(runner, le, slot, seed),
+            Algorithm::LogLog(le) => self.run(runner, le, slot, seed),
+            Algorithm::RatRace(le) => self.run(runner, le, slot, seed),
+            Algorithm::Combined(le) => self.run(runner, le, slot, seed),
+        };
+        result == ret::WIN
+    }
+
+    /// One `elect()` of `le`: its frame borrows `le` and lives on this
+    /// call's stack.
+    fn run<O: Elect>(&self, runner: &mut NativeRunner, le: &O, slot: usize, seed: u64) -> Word {
+        runner.run(Bound::new(le, le.frame()), &self.memory, slot, seed)
     }
 
     fn elect(&self) -> bool {
@@ -223,9 +246,9 @@ impl LeaderElection {
         self.inner.elect()
     }
 
-    /// [`LeaderElection::elect`] reusing a caller-owned
-    /// [`NativeRunner`], so a worker thread performing many operations
-    /// does not rebuild the protocol-stack buffer each time.
+    /// [`LeaderElection::elect`] with a caller-owned [`NativeRunner`].
+    /// The call allocates nothing and clones no `Arc`: the protocol
+    /// frame lives on this call's stack and borrows the object.
     pub fn elect_with(&self, runner: &mut NativeRunner) -> bool {
         self.inner.elect_with(runner)
     }

@@ -2,10 +2,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rtas_sim::executor::{SubPoll, SubRuntime};
 use rtas_sim::memory::Memory;
 use rtas_sim::op::MemOp;
-use rtas_sim::protocol::{Ctx, Notes, Protocol};
+use rtas_sim::protocol::{Ctx, Notes, Poll, Protocol, Resume};
 use rtas_sim::rng::SplitMix64;
 use rtas_sim::word::{ProcessId, RegId, Word};
 
@@ -157,80 +156,66 @@ impl NativeMemory {
     }
 }
 
-/// A reusable per-thread protocol executor.
+/// The per-thread handle that runs protocols on real atomics.
 ///
-/// [`run_protocol`] builds a fresh [`SubRuntime`] (one heap-allocated
-/// protocol stack) per call; a worker thread hammering an arena of
-/// recycled objects instead keeps one `NativeRunner` alive and reuses
-/// the runtime's stack buffer across operations via
-/// [`SubRuntime::reset`], so the steady-state op path allocates only
-/// the protocol state machines themselves.
+/// [`NativeRunner::run`] drives the protocol it is given in place, on the
+/// calling thread's stack: each `Poll::Op` becomes one sequentially
+/// consistent load or store, and nothing is allocated along the way. A
+/// runner holds no state, so building one is free; operations take it by
+/// `&mut` so a worker thread can thread one handle through all of its
+/// calls.
 #[derive(Debug, Default)]
 pub struct NativeRunner {
-    runtime: Option<SubRuntime>,
+    _private: (),
 }
 
 impl NativeRunner {
-    /// A runner with no warm runtime yet (the first [`NativeRunner::run`]
-    /// builds it).
+    /// A runner; building one costs nothing.
     pub fn new() -> Self {
-        NativeRunner { runtime: None }
+        NativeRunner::default()
     }
 
-    /// Run `protocol` to completion on the calling thread, reusing this
-    /// runner's runtime buffer.
+    /// Run `protocol` to completion on the calling thread.
     ///
     /// `participant` is the logical process id (used for splitter
     /// identity stamps); `seed` seeds the thread's private coin flips.
     /// Returns the protocol's result word.
-    pub fn run(
+    ///
+    /// Pass a [`rtas_sim::protocol::Bound`] frame borrowing its object to
+    /// run without allocating; a boxed protocol works too.
+    pub fn run<P: Protocol>(
         &mut self,
-        protocol: Box<dyn Protocol>,
+        mut protocol: P,
         memory: &NativeMemory,
         participant: usize,
         seed: u64,
     ) -> Word {
-        let runtime = match &mut self.runtime {
-            Some(rt) => {
-                rt.reset(protocol);
-                rt
-            }
-            slot => slot.insert(SubRuntime::new(protocol)),
-        };
         let mut rng = SplitMix64::split(seed, participant as u64 ^ 0x5eed_f00d);
         let mut notes = Notes::default();
+        let mut ctx = Ctx {
+            pid: ProcessId(participant),
+            rng: &mut rng,
+            notes: &mut notes,
+        };
+        let mut input = Resume::Start;
         loop {
-            let poll = {
-                let mut ctx = Ctx {
-                    pid: ProcessId(participant),
-                    rng: &mut rng,
-                    notes: &mut notes,
-                };
-                runtime.advance(&mut ctx)
-            };
-            match poll {
-                SubPoll::Finished(v) => return v,
-                SubPoll::NeedsOp(op) => {
-                    let input = match op {
-                        MemOp::Read(r) => rtas_sim::protocol::Resume::Read(memory.read(r)),
-                        MemOp::Write(r, v) => {
-                            memory.write(r, v);
-                            rtas_sim::protocol::Resume::Wrote
-                        }
-                    };
-                    runtime.feed(input);
+            input = match protocol.resume(input, &mut ctx) {
+                Poll::Done(v) => return v,
+                Poll::Op(MemOp::Read(r)) => Resume::Read(memory.read(r)),
+                Poll::Op(MemOp::Write(r, v)) => {
+                    memory.write(r, v);
+                    Resume::Wrote
                 }
-            }
+            };
         }
     }
 }
 
 /// Run a protocol to completion on the calling thread.
 ///
-/// One-shot convenience over [`NativeRunner::run`] — identical
-/// semantics, fresh runtime per call.
-pub fn run_protocol(
-    protocol: Box<dyn Protocol>,
+/// Same as [`NativeRunner::run`] on a fresh runner.
+pub fn run_protocol<P: Protocol>(
+    protocol: P,
     memory: &NativeMemory,
     participant: usize,
     seed: u64,
@@ -241,8 +226,6 @@ pub fn run_protocol(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtas_sim::op::MemOp;
-    use rtas_sim::protocol::{Poll, Resume};
 
     struct WriteThenRead {
         reg: RegId,

@@ -18,8 +18,9 @@
 //! object's epoch tag, so [`NativeMemory::reset`] returns the object to
 //! its all-zero initial state by bumping one counter, with no allocation
 //! and no per-register store (except one zeroing sweep each time the
-//! 16-bit tag wraps). [`NativeRunner`] reuses one protocol-stack buffer
-//! across operations — together the foundation of the `rtas-load`
+//! 16-bit tag wraps). [`NativeRunner`] runs each operation as one frame
+//! on the caller's stack that borrows its object, so an operation
+//! allocates nothing either — together the foundation of the `rtas-load`
 //! sharded arena, which resolves sustained traffic on a fixed pool of
 //! objects instead of constructing one per operation.
 

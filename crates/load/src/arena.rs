@@ -23,9 +23,9 @@
 //! operation a `(shard, epoch)` pair such that every epoch receives
 //! exactly `group` operations (see `crate::driver`), so no entry tickets
 //! or queues are needed — the op path is a spin-wait, the protocol run
-//! itself, and two atomic RMWs. The steady-state path allocates nothing
-//! beyond the protocol state machines (and those run through a reused
-//! [`NativeRunner`] stack buffer).
+//! itself, and two atomic RMWs. The steady-state path allocates nothing:
+//! the [`NativeRunner`] runs each operation's protocol frame on the
+//! worker's stack.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

@@ -17,8 +17,8 @@
 //!   Worker **churn** maps the scenario engine's
 //!   retirement/respawn axis onto real threads: with `churn = c`, a
 //!   worker's OS thread retires after `c` operations and a fresh thread
-//!   (cold protocol-stack buffer — and, against a remote target, a
-//!   cold connection) is spawned to continue its slot.
+//!   (a fresh runner handle — and, against a remote target, a cold
+//!   connection) is spawned to continue its slot.
 //! * **Open loop** — operations are *offered* at wall-clock instants
 //!   from a deterministic [`ArrivalSchedule`] (same seed ⇒ identical
 //!   offered load, run to run and machine to machine). Arrival `i` is
@@ -65,10 +65,9 @@ use crate::schedule::ArrivalSchedule;
 ///
 /// Implementations: [`TasArena`] (in-process atomics) and
 /// [`crate::remote::RemoteTarget`] (an `rtas-svc` server over TCP).
-/// Workers are handed one [`LoadTarget::Ctx`] per *life* — a reused
-/// protocol-stack buffer for the arena, a connection for the remote
-/// target — so the per-operation path stays allocation- and
-/// connect-free.
+/// Workers are handed one [`LoadTarget::Ctx`] per *life* — a native
+/// runner handle for the arena, a connection for the remote target —
+/// so the per-operation path stays allocation- and connect-free.
 pub trait LoadTarget: Sync {
     /// Per-worker-life state threaded through every resolve call.
     type Ctx: Send;

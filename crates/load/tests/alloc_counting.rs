@@ -5,9 +5,10 @@
 //!
 //! * `NativeMemory::reset` / `TestAndSet::reset` perform **zero**
 //!   allocations — recycling is an epoch-counter bump, nothing else;
-//! * the steady-state op path allocates only the per-operation protocol
-//!   state machines (a handful of small boxes), not the object graph —
-//!   recycling must beat rebuilding by a wide margin per resolution.
+//! * the steady-state op path performs **zero** allocations too — each
+//!   operation's protocol frame lives on the caller's stack — while
+//!   rebuilding an object instead of recycling it allocates its whole
+//!   graph.
 //!
 //! Everything runs in ONE test function: the default test harness runs
 //! `#[test]` functions concurrently, and a second thread would pollute
@@ -44,7 +45,7 @@ fn allocations() -> u64 {
 }
 
 #[test]
-fn reset_is_allocation_free_and_steady_state_is_allocation_light() {
+fn reset_and_steady_state_ops_are_allocation_free() {
     // --- NativeMemory::reset allocates nothing. ---
     let mut layout = Memory::new();
     let regs = layout.alloc(64, "t");
@@ -71,7 +72,7 @@ fn reset_is_allocation_free_and_steady_state_is_allocation_light() {
         "TestAndSet::reset must not allocate"
     );
 
-    // --- Steady-state arena ops: protocol boxes only. ---
+    // --- Steady-state arena ops: nothing at all. ---
     // Group of one so the whole loop stays on this thread (spawning
     // workers would allocate and pollute the counters).
     let arena = TasArena::new(Backend::LogStar, 1, 1);
@@ -84,23 +85,16 @@ fn reset_is_allocation_free_and_steady_state_is_allocation_light() {
     for epoch in 20..20 + epochs {
         assert!(arena.resolve(0, epoch, &mut runner));
     }
-    let per_epoch = (allocations() - before) as f64 / epochs as f64;
+    let steady = allocations() - before;
+    assert_eq!(
+        steady, 0,
+        "steady-state op path allocated {steady} times over {epochs} epochs"
+    );
 
-    // What rebuilding instead of recycling would cost, per resolution.
+    // Rebuilding instead of recycling allocates the object graph.
     let before = allocations();
     let fresh = TestAndSet::with_backend(Backend::LogStar, 1);
-    let construction = (allocations() - before) as f64;
+    let construction = allocations() - before;
     assert!(!fresh.test_and_set());
-
-    assert!(
-        per_epoch < construction,
-        "recycling ({per_epoch:.1} allocs/epoch) must beat rebuilding \
-         ({construction:.1} allocs/object)"
-    );
-    // And in absolute terms the op path is a handful of protocol boxes,
-    // not an object graph.
-    assert!(
-        per_epoch <= 16.0,
-        "steady-state op path allocated {per_epoch:.1} times per epoch"
-    );
+    assert!(construction > 0, "construction allocated nothing");
 }

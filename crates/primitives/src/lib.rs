@@ -21,8 +21,11 @@
 //!
 //! All objects follow the same pattern: a small, copyable *descriptor*
 //! holds the register ids (allocated from a [`rtas_sim::memory::Memory`]),
-//! and a method returns a boxed [`rtas_sim::protocol::Protocol`] that one
-//! process runs to perform one operation.
+//! and one operation is a [`rtas_sim::protocol::Frame`] (`SplitFrame`,
+//! `TwoProcessFrame`, …) resumed against a borrowed descriptor. Composite
+//! objects hold these frames by value; a method such as `split()` or
+//! `elect_as(role)` boxes one with a copy of the descriptor as the
+//! [`rtas_sim::protocol::Protocol`] a simulated process runs.
 //!
 //! ```
 //! use rtas_primitives::{RoleLeaderElect, TwoProcessLe};
@@ -36,6 +39,8 @@
 //! assert_eq!(res.processes_with_outcome(ret::WIN).len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod object;
 pub mod rsplitter;
 pub mod splitter;
@@ -43,9 +48,9 @@ pub mod tas_from_le;
 pub mod three_process;
 pub mod two_process;
 
-pub use object::{LeaderElect, RoleLeaderElect, SplitterObject};
-pub use rsplitter::RSplitter;
-pub use splitter::Splitter;
-pub use tas_from_le::TasFromLe;
-pub use three_process::ThreeProcessLe;
-pub use two_process::TwoProcessLe;
+pub use object::{Elect, LeaderElect, RoleLeaderElect, SplitterObject};
+pub use rsplitter::{RSplitFrame, RSplitter};
+pub use splitter::{SplitFrame, Splitter};
+pub use tas_from_le::{TasFrame, TasFromLe};
+pub use three_process::{ThreeProcessFrame, ThreeProcessLe};
+pub use two_process::{TwoProcessFrame, TwoProcessLe};

@@ -1,15 +1,40 @@
 //! Object traits shared by the primitive and composite algorithms.
 
-use rtas_sim::protocol::Protocol;
+use rtas_sim::protocol::{Bound, Frame, Protocol};
 
 /// A leader-election object any number of processes may enter.
 ///
 /// At most one `elect()` protocol may return [`rtas_sim::protocol::ret::WIN`]
 /// in any execution; if no participating process crashes, exactly one does.
 /// Each process calls `elect()` at most once.
+///
+/// Every [`Elect`] object that is cheap to clone implements this trait:
+/// the boxed protocol owns a clone of the object and the operation's
+/// frame.
 pub trait LeaderElect: Send + Sync {
     /// Build the per-process protocol performing one `elect()` call.
     fn elect(&self) -> Box<dyn Protocol>;
+}
+
+/// A leader-election object whose `elect()` is a [`Frame`] resumed
+/// against the object itself.
+///
+/// This is how composites hold a leader election of a type chosen by
+/// their caller (the Section 4 combiner's weak side, [`crate::TasFromLe`])
+/// and how the native runtime runs an `elect()` without allocating: the
+/// frame is a plain value and the object is only borrowed.
+pub trait Elect: Send + Sync {
+    /// The state of one `elect()` call.
+    type Frame: Frame<Object = Self>;
+
+    /// A frame poised at the start of one `elect()` call.
+    fn frame(&self) -> Self::Frame;
+}
+
+impl<T: Elect + Clone + 'static> LeaderElect for T {
+    fn elect(&self) -> Box<dyn Protocol> {
+        Box::new(Bound::new(self.clone(), self.frame()))
+    }
 }
 
 /// A leader-election object with a fixed, small number of named roles.
@@ -42,8 +67,8 @@ pub trait SplitterObject: Send + Sync {
 mod tests {
     use super::*;
 
-    // The traits must stay object-safe: they are stored as `Box<dyn …>` /
-    // `Arc<dyn …>` throughout the composite algorithms.
+    // The traits must stay object-safe: simulator callers (experiments,
+    // tests, examples) store objects as `Arc<dyn …>`.
     #[test]
     fn traits_are_object_safe() {
         fn _le(_: &dyn LeaderElect) {}

@@ -11,7 +11,7 @@
 
 use rtas_sim::memory::Memory;
 use rtas_sim::op::MemOp;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Bound, Ctx, Frame, Poll, Protocol, Resume};
 use rtas_sim::word::{RegId, Word};
 
 use crate::object::SplitterObject;
@@ -48,15 +48,13 @@ impl RSplitter {
 
 impl SplitterObject for RSplitter {
     fn split(&self) -> Box<dyn Protocol> {
-        Box::new(RSplitProtocol {
-            sp: *self,
-            state: State::Init,
-        })
+        Box::new(Bound::new(*self, RSplitFrame::default()))
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum State {
+    #[default]
     Init,
     WroteX,
     ReadY,
@@ -64,9 +62,9 @@ enum State {
     ReadX,
 }
 
-#[derive(Debug)]
-struct RSplitProtocol {
-    sp: RSplitter,
+/// One `split()` call, resumed against its [`RSplitter`].
+#[derive(Debug, Clone, Default)]
+pub struct RSplitFrame {
     state: State,
 }
 
@@ -78,28 +76,30 @@ fn random_direction(ctx: &mut Ctx<'_>) -> Word {
     }
 }
 
-impl Protocol for RSplitProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+impl Frame for RSplitFrame {
+    type Object = RSplitter;
+
+    fn resume(&mut self, sp: &RSplitter, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         let me = ctx.pid.index() as Word + 1;
         match self.state {
             State::Init => {
                 self.state = State::WroteX;
-                Poll::Op(MemOp::Write(self.sp.x, me))
+                Poll::Op(MemOp::Write(sp.x, me))
             }
             State::WroteX => {
                 self.state = State::ReadY;
-                Poll::Op(MemOp::Read(self.sp.y))
+                Poll::Op(MemOp::Read(sp.y))
             }
             State::ReadY => {
                 if input.read_value() != 0 {
                     return Poll::Done(random_direction(ctx));
                 }
                 self.state = State::WroteY;
-                Poll::Op(MemOp::Write(self.sp.y, 1))
+                Poll::Op(MemOp::Write(sp.y, 1))
             }
             State::WroteY => {
                 self.state = State::ReadX;
-                Poll::Op(MemOp::Read(self.sp.x))
+                Poll::Op(MemOp::Read(sp.x))
             }
             State::ReadX => {
                 if input.read_value() == me {
@@ -109,10 +109,6 @@ impl Protocol for RSplitProtocol {
                 }
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "rsplitter"
     }
 }
 

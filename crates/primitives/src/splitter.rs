@@ -16,7 +16,7 @@
 
 use rtas_sim::memory::Memory;
 use rtas_sim::op::MemOp;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Bound, Ctx, Frame, Poll, Protocol, Resume};
 use rtas_sim::word::{RegId, Word};
 
 use crate::object::SplitterObject;
@@ -54,15 +54,13 @@ impl Splitter {
 
 impl SplitterObject for Splitter {
     fn split(&self) -> Box<dyn Protocol> {
-        Box::new(SplitProtocol {
-            sp: *self,
-            state: State::Init,
-        })
+        Box::new(Bound::new(*self, SplitFrame::default()))
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum State {
+    #[default]
     Init,
     WroteX,
     ReadY,
@@ -70,36 +68,37 @@ enum State {
     ReadX,
 }
 
-/// One `split()` call.
-#[derive(Debug)]
-struct SplitProtocol {
-    sp: Splitter,
+/// One `split()` call, resumed against its [`Splitter`].
+#[derive(Debug, Clone, Default)]
+pub struct SplitFrame {
     state: State,
 }
 
-impl Protocol for SplitProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+impl Frame for SplitFrame {
+    type Object = Splitter;
+
+    fn resume(&mut self, sp: &Splitter, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         // X stores pid + 1 so that 0 remains "nobody".
         let me = ctx.pid.index() as Word + 1;
         match self.state {
             State::Init => {
                 self.state = State::WroteX;
-                Poll::Op(MemOp::Write(self.sp.x, me))
+                Poll::Op(MemOp::Write(sp.x, me))
             }
             State::WroteX => {
                 self.state = State::ReadY;
-                Poll::Op(MemOp::Read(self.sp.y))
+                Poll::Op(MemOp::Read(sp.y))
             }
             State::ReadY => {
                 if input.read_value() != 0 {
                     return Poll::Done(ret::SPLIT_LEFT);
                 }
                 self.state = State::WroteY;
-                Poll::Op(MemOp::Write(self.sp.y, 1))
+                Poll::Op(MemOp::Write(sp.y, 1))
             }
             State::WroteY => {
                 self.state = State::ReadX;
-                Poll::Op(MemOp::Read(self.sp.x))
+                Poll::Op(MemOp::Read(sp.x))
             }
             State::ReadX => {
                 if input.read_value() == me {
@@ -109,10 +108,6 @@ impl Protocol for SplitProtocol {
                 }
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "splitter"
     }
 }
 

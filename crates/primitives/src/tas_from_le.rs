@@ -24,19 +24,28 @@ use std::sync::Arc;
 
 use rtas_sim::memory::Memory;
 use rtas_sim::op::MemOp;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Bound, Ctx, Frame, Poll, Protocol, Resume};
+use rtas_sim::ready;
 use rtas_sim::word::RegId;
 
-use crate::object::LeaderElect;
+use crate::object::Elect;
 
-/// A one-shot TAS built from a leader-election object and one register.
-#[derive(Clone)]
-pub struct TasFromLe {
-    le: Arc<dyn LeaderElect>,
+/// A one-shot TAS built from a leader-election object `L` and one register.
+pub struct TasFromLe<L> {
+    le: Arc<L>,
     done: RegId,
 }
 
-impl std::fmt::Debug for TasFromLe {
+impl<L> Clone for TasFromLe<L> {
+    fn clone(&self) -> Self {
+        TasFromLe {
+            le: Arc::clone(&self.le),
+            done: self.done,
+        }
+    }
+}
+
+impl<L> std::fmt::Debug for TasFromLe<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TasFromLe")
             .field("done", &self.done)
@@ -44,9 +53,9 @@ impl std::fmt::Debug for TasFromLe {
     }
 }
 
-impl TasFromLe {
+impl<L: Elect + 'static> TasFromLe<L> {
     /// Wrap `le` into a TAS, allocating the extra `DONE` register.
-    pub fn new(memory: &mut Memory, le: Arc<dyn LeaderElect>, label: &str) -> Self {
+    pub fn new(memory: &mut Memory, le: Arc<L>, label: &str) -> Self {
         let done = memory.alloc(1, label).get(0);
         TasFromLe { le, done }
     }
@@ -55,85 +64,100 @@ impl TasFromLe {
     ///
     /// Returns `0` if this process wins (the bit was unset), `1` otherwise.
     pub fn tas(&self) -> Box<dyn Protocol> {
-        Box::new(TasProtocol {
-            le: Arc::clone(&self.le),
-            done: self.done,
-            state: State::Start,
-        })
+        Box::new(Bound::new(self.clone(), TasFrame::default()))
     }
+}
 
+impl<L> TasFromLe<L> {
     /// Extra registers beyond those of the leader-election object.
     pub const EXTRA_REGISTERS: u64 = 1;
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
+/// One `TAS()` call, resumed against its [`TasFromLe`].
+pub struct TasFrame<L: Elect> {
+    state: State<L::Frame>,
+}
+
+impl<L: Elect> Default for TasFrame<L> {
+    fn default() -> Self {
+        TasFrame {
+            state: State::Start,
+        }
+    }
+}
+
+enum State<F> {
     Start,
     CheckedDone,
-    Elected,
+    Elect(F),
     WroteDone,
 }
 
-struct TasProtocol {
-    le: Arc<dyn LeaderElect>,
-    done: RegId,
-    state: State,
-}
+impl<L: Elect> Frame for TasFrame<L> {
+    type Object = TasFromLe<L>;
 
-impl Protocol for TasProtocol {
-    fn resume(&mut self, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
-        match self.state {
-            State::Start => {
-                self.state = State::CheckedDone;
-                Poll::Op(MemOp::Read(self.done))
-            }
-            State::CheckedDone => {
-                if input.read_value() == 1 {
-                    return Poll::Done(1);
+    fn resume(&mut self, tas: &TasFromLe<L>, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        loop {
+            match &mut self.state {
+                State::Start => {
+                    self.state = State::CheckedDone;
+                    return Poll::Op(MemOp::Read(tas.done));
                 }
-                self.state = State::Elected;
-                Poll::Call(self.le.elect())
-            }
-            State::Elected => {
-                if input.child_value() == ret::WIN {
-                    return Poll::Done(0);
+                State::CheckedDone => {
+                    if input.read_value() == 1 {
+                        return Poll::Done(1);
+                    }
+                    self.state = State::Elect(tas.le.frame());
+                    input = Resume::Start;
                 }
-                self.state = State::WroteDone;
-                Poll::Op(MemOp::Write(self.done, 1))
+                State::Elect(elect) => {
+                    if ready!(elect.resume(&tas.le, input, ctx)) == ret::WIN {
+                        return Poll::Done(0);
+                    }
+                    self.state = State::WroteDone;
+                    return Poll::Op(MemOp::Write(tas.done, 1));
+                }
+                State::WroteDone => return Poll::Done(1),
             }
-            State::WroteDone => Poll::Done(1),
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "tas-from-le"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_process::TwoProcessLe;
-    use crate::RoleLeaderElect;
+    use crate::two_process::{TwoProcessFrame, TwoProcessLe};
     use rtas_sim::adversary::{RandomSchedule, RoundRobin};
     use rtas_sim::executor::Execution;
     use rtas_sim::explore::{explore, ExploreConfig};
     use rtas_sim::word::ProcessId;
 
-    /// Adapter: a 2-process role LE exposed as a (2-process) LeaderElect
-    /// by assigning roles on a per-protocol basis. Test-only: real usage
-    /// assigns roles structurally.
+    /// Adapter: a 2-process role LE exposed as a (2-process) leader
+    /// election by assigning roles in the order `elect()` calls start.
+    /// Test-only: real usage assigns roles structurally.
     struct TwoAsLe {
         inner: TwoProcessLe,
         next_role: std::sync::atomic::AtomicUsize,
     }
 
-    impl LeaderElect for TwoAsLe {
-        fn elect(&self) -> Box<dyn Protocol> {
+    struct TwoAsLeFrame(TwoProcessFrame);
+
+    impl Frame for TwoAsLeFrame {
+        type Object = TwoAsLe;
+
+        fn resume(&mut self, le: &TwoAsLe, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+            self.0.resume(&le.inner, input, ctx)
+        }
+    }
+
+    impl Elect for TwoAsLe {
+        type Frame = TwoAsLeFrame;
+
+        fn frame(&self) -> TwoAsLeFrame {
             let role = self
                 .next_role
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.elect_as(role)
+            TwoAsLeFrame(TwoProcessFrame::new(role))
         }
     }
 
@@ -200,7 +224,7 @@ mod tests {
         let _tas = TasFromLe::new(&mut mem, wrapped, "done");
         assert_eq!(
             mem.declared_registers() - before,
-            TasFromLe::EXTRA_REGISTERS
+            TasFromLe::<TwoAsLe>::EXTRA_REGISTERS
         );
     }
 }

@@ -14,10 +14,11 @@
 //! role, as required.
 
 use rtas_sim::memory::Memory;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Bound, Ctx, Frame, Poll, Protocol, Resume};
+use rtas_sim::ready;
 
 use crate::object::RoleLeaderElect;
-use crate::two_process::TwoProcessLe;
+use crate::two_process::{TwoProcessFrame, TwoProcessLe};
 
 /// Descriptor of one 3-process leader-election object (4 registers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,56 +55,61 @@ impl RoleLeaderElect for ThreeProcessLe {
     }
 
     fn elect_as(&self, role: usize) -> Box<dyn Protocol> {
-        assert!(role < 3, "3-process LE has roles 0..3, got {role}");
-        Box::new(ThreeProcessProtocol {
-            le: *self,
-            role,
-            state: State::Start,
-        })
+        Box::new(Bound::new(*self, ThreeProcessFrame::new(role)))
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Start,
-    AfterSemifinal,
-    AfterFinal,
-}
-
-#[derive(Debug)]
-struct ThreeProcessProtocol {
-    le: ThreeProcessLe,
+/// One `elect_as(role)` call, resumed against its [`ThreeProcessLe`].
+#[derive(Debug, Clone)]
+pub struct ThreeProcessFrame {
     role: usize,
-    state: State,
+    stage: Stage,
 }
 
-impl Protocol for ThreeProcessProtocol {
-    fn resume(&mut self, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
-        match self.state {
-            State::Start => match self.role {
-                0 | 1 => {
-                    self.state = State::AfterSemifinal;
-                    Poll::Call(self.le.semifinal.elect_as(self.role))
-                }
-                _ => {
-                    self.state = State::AfterFinal;
-                    Poll::Call(self.le.fina1.elect_as(1))
-                }
-            },
-            State::AfterSemifinal => {
-                if input.child_value() == ret::WIN {
-                    self.state = State::AfterFinal;
-                    Poll::Call(self.le.fina1.elect_as(0))
-                } else {
-                    Poll::Done(ret::LOSE)
-                }
-            }
-            State::AfterFinal => Poll::Done(input.child_value()),
+#[derive(Debug, Clone)]
+enum Stage {
+    Start,
+    Semifinal(TwoProcessFrame),
+    Final(TwoProcessFrame),
+}
+
+impl ThreeProcessFrame {
+    /// A frame poised at the start of `elect_as(role)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `role` is 0, 1 or 2.
+    pub fn new(role: usize) -> Self {
+        assert!(role < 3, "3-process LE has roles 0..3, got {role}");
+        ThreeProcessFrame {
+            role,
+            stage: Stage::Start,
         }
     }
+}
 
-    fn name(&self) -> &'static str {
-        "three-process-le"
+impl Frame for ThreeProcessFrame {
+    type Object = ThreeProcessLe;
+
+    fn resume(&mut self, le: &ThreeProcessLe, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        loop {
+            match &mut self.stage {
+                Stage::Start => {
+                    self.stage = match self.role {
+                        0 | 1 => Stage::Semifinal(TwoProcessFrame::new(self.role)),
+                        _ => Stage::Final(TwoProcessFrame::new(1)),
+                    };
+                }
+                Stage::Semifinal(semifinal) => {
+                    if ready!(semifinal.resume(&le.semifinal, input, ctx)) != ret::WIN {
+                        return Poll::Done(ret::LOSE);
+                    }
+                    self.stage = Stage::Final(TwoProcessFrame::new(0));
+                    input = Resume::Start;
+                }
+                Stage::Final(fina1) => return fina1.resume(&le.fina1, input, ctx),
+            }
+        }
     }
 }
 

@@ -49,7 +49,7 @@
 
 use rtas_sim::memory::Memory;
 use rtas_sim::op::MemOp;
-use rtas_sim::protocol::{ret, Ctx, Poll, Protocol, Resume};
+use rtas_sim::protocol::{ret, Bound, Ctx, Frame, Poll, Protocol, Resume};
 use rtas_sim::word::{RegId, Word};
 
 use crate::object::RoleLeaderElect;
@@ -113,15 +113,7 @@ impl RoleLeaderElect for TwoProcessLe {
     }
 
     fn elect_as(&self, role: usize) -> Box<dyn Protocol> {
-        assert!(role < 2, "2-process LE has roles 0 and 1, got {role}");
-        Box::new(TwoProcessProtocol {
-            le: *self,
-            role,
-            round: 1,
-            coin: 0,
-            state: State::Announce,
-            claimed_round: None,
-        })
+        Box::new(Bound::new(*self, TwoProcessFrame::new(role)))
     }
 }
 
@@ -139,9 +131,9 @@ enum State {
     DecideAfterConfirm,
 }
 
-#[derive(Debug)]
-struct TwoProcessProtocol {
-    le: TwoProcessLe,
+/// One `elect_as(role)` call, resumed against its [`TwoProcessLe`].
+#[derive(Debug, Clone)]
+pub struct TwoProcessFrame {
     role: usize,
     round: Word,
     coin: Word,
@@ -152,16 +144,32 @@ struct TwoProcessProtocol {
     claimed_round: Option<Word>,
 }
 
-impl TwoProcessProtocol {
-    fn my_reg(&self) -> RegId {
-        self.le.regs[self.role]
+impl TwoProcessFrame {
+    /// A frame poised at the start of `elect_as(role)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `role` is 0 or 1.
+    pub fn new(role: usize) -> Self {
+        assert!(role < 2, "2-process LE has roles 0 and 1, got {role}");
+        TwoProcessFrame {
+            role,
+            round: 1,
+            coin: 0,
+            state: State::Announce,
+            claimed_round: None,
+        }
     }
 
-    fn peer_reg(&self) -> RegId {
-        self.le.regs[1 - self.role]
+    fn my_reg(&self, le: &TwoProcessLe) -> RegId {
+        le.regs[self.role]
     }
 
-    fn announce(&mut self, ctx: &mut Ctx<'_>) -> Poll {
+    fn peer_reg(&self, le: &TwoProcessLe) -> RegId {
+        le.regs[1 - self.role]
+    }
+
+    fn announce(&mut self, le: &TwoProcessLe, ctx: &mut Ctx<'_>) -> Poll {
         self.coin = ctx.rng.coin() as Word;
         self.state = State::ReadPeer;
         let v = Slot {
@@ -170,10 +178,10 @@ impl TwoProcessProtocol {
             claim: NO,
         }
         .pack();
-        Poll::Op(MemOp::Write(self.my_reg(), v))
+        Poll::Op(MemOp::Write(self.my_reg(le), v))
     }
 
-    fn claim(&mut self) -> Poll {
+    fn claim(&mut self, le: &TwoProcessLe) -> Poll {
         self.claimed_round = Some(self.round);
         self.state = State::Confirm;
         let v = Slot {
@@ -182,17 +190,19 @@ impl TwoProcessProtocol {
             claim: CLAIM,
         }
         .pack();
-        Poll::Op(MemOp::Write(self.my_reg(), v))
+        Poll::Op(MemOp::Write(self.my_reg(le), v))
     }
 }
 
-impl Protocol for TwoProcessProtocol {
-    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+impl Frame for TwoProcessFrame {
+    type Object = TwoProcessLe;
+
+    fn resume(&mut self, le: &TwoProcessLe, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         match self.state {
-            State::Announce => self.announce(ctx),
+            State::Announce => self.announce(le, ctx),
             State::ReadPeer => {
                 self.state = State::DecideAfterRead;
-                Poll::Op(MemOp::Read(self.peer_reg()))
+                Poll::Op(MemOp::Read(self.peer_reg(le)))
             }
             State::DecideAfterRead => {
                 let peer = Slot::unpack(input.read_value());
@@ -202,17 +212,17 @@ impl Protocol for TwoProcessProtocol {
                 if peer.round > self.round {
                     // Peer ahead without a (relevant) claim: catch up.
                     self.round = peer.round;
-                    return self.announce(ctx);
+                    return self.announce(le, ctx);
                 }
                 if peer.round < self.round {
                     // Peer behind (or holding a stale claim of a loser):
                     // claim the win and confirm.
-                    return self.claim();
+                    return self.claim(le);
                 }
                 // Same round; a same-round peer claim was handled above.
                 if peer.coin == self.coin {
                     self.round += 1;
-                    return self.announce(ctx);
+                    return self.announce(le, ctx);
                 }
                 if self.coin == 0 {
                     if self.claimed_round == Some(self.round) {
@@ -221,14 +231,14 @@ impl Protocol for TwoProcessProtocol {
                         // upon seeing it), so the tiebreak does not apply —
                         // move on instead of losing to a ghost.
                         self.round += 1;
-                        return self.announce(ctx);
+                        return self.announce(le, ctx);
                     }
                     return Poll::Done(ret::LOSE);
                 }
                 // Tiebreak winner: advance instead of claiming; the peer
                 // either already lost or will lose on its next read.
                 self.round += 1;
-                self.announce(ctx)
+                self.announce(le, ctx)
             }
             State::Confirm => {
                 match input {
@@ -236,7 +246,7 @@ impl Protocol for TwoProcessProtocol {
                     other => panic!("unexpected resume {other:?} in Confirm"),
                 }
                 self.state = State::DecideAfterConfirm;
-                Poll::Op(MemOp::Read(self.peer_reg()))
+                Poll::Op(MemOp::Read(self.peer_reg(le)))
             }
             State::DecideAfterConfirm => {
                 let peer = Slot::unpack(input.read_value());
@@ -255,13 +265,9 @@ impl Protocol for TwoProcessProtocol {
                 // highest round seen — never one past it, so a peer claim
                 // at that round is still detected by the next read.
                 self.round = self.round.max(peer.round);
-                self.announce(ctx)
+                self.announce(le, ctx)
             }
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "two-process-le"
     }
 }
 

@@ -4,7 +4,7 @@
 //! iteration of [`Execution::run`]:
 //!
 //! 1. every live process is *poised* on one committed shared-memory
-//!    operation (produced by its protocol stack),
+//!    operation (produced by its protocol),
 //! 2. the adversary inspects a class-filtered [`crate::adversary::View`]
 //!    and picks the next process,
 //! 3. the chosen process's operation executes atomically (one *step*), and
@@ -46,13 +46,13 @@ use crate::protocol::{Ctx, Notes, Poll, Protocol, Resume};
 use crate::rng::SplitMix64;
 use crate::word::{ProcessId, Word};
 
-/// A protocol call stack plus the bookkeeping to drive it.
+/// One process's protocol plus the bookkeeping to drive it.
 ///
-/// This is the reusable core of the per-process runtime; Section 4's
-/// combiner also embeds two `SubRuntime`s inside a single process to
-/// interleave RatRace with another algorithm.
+/// This is the reusable core of the per-process runtime: it remembers the
+/// operation the protocol is poised on, delivers that operation's result,
+/// and records the final value.
 pub struct SubRuntime {
-    stack: Vec<Box<dyn Protocol>>,
+    protocol: Box<dyn Protocol>,
     next_input: Option<Resume>,
     pending: Option<MemOp>,
     finished: Option<Word>,
@@ -61,7 +61,6 @@ pub struct SubRuntime {
 impl std::fmt::Debug for SubRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SubRuntime")
-            .field("depth", &self.stack.len())
             .field("pending", &self.pending)
             .field("finished", &self.finished)
             .finish()
@@ -74,30 +73,25 @@ pub enum SubPoll {
     /// The runtime is poised on this operation; execute it and call
     /// [`SubRuntime::feed`] with the result.
     NeedsOp(MemOp),
-    /// The root protocol finished with this value.
+    /// The protocol finished with this value.
     Finished(Word),
 }
 
 impl SubRuntime {
-    /// A runtime that will run `root` from its start.
-    pub fn new(root: Box<dyn Protocol>) -> Self {
+    /// A runtime that will run `protocol` from its start.
+    pub fn new(protocol: Box<dyn Protocol>) -> Self {
         SubRuntime {
-            stack: vec![root],
+            protocol,
             next_input: Some(Resume::Start),
             pending: None,
             finished: None,
         }
     }
 
-    /// Rewind this runtime to run `root` from its start, reusing the stack
-    /// allocation. Part of the allocation-light trial loop (see
-    /// [`Execution::reset`]).
-    pub fn reset(&mut self, root: Box<dyn Protocol>) {
-        self.stack.clear();
-        self.stack.push(root);
-        self.next_input = Some(Resume::Start);
-        self.pending = None;
-        self.finished = None;
+    /// Rewind this runtime to run `protocol` from its start. Part of the
+    /// allocation-light trial loop (see [`Execution::reset`]).
+    pub fn reset(&mut self, protocol: Box<dyn Protocol>) {
+        *self = SubRuntime::new(protocol);
     }
 
     /// The operation this runtime is currently poised on, if any.
@@ -105,7 +99,7 @@ impl SubRuntime {
         self.pending
     }
 
-    /// The final result, if the root protocol finished.
+    /// The final result, if the protocol finished.
     pub fn finished(&self) -> Option<Word> {
         self.finished
     }
@@ -126,37 +120,25 @@ impl SubRuntime {
         self.next_input = Some(input);
     }
 
-    /// Drive the stack until it is poised on an operation or finished.
+    /// Resume the protocol until it is poised on an operation or finished.
     ///
     /// # Panics
     ///
-    /// Panics if called while an operation is pending and unfed, or after
-    /// the runtime finished.
+    /// Panics if called while an operation is pending and unfed.
     pub fn advance(&mut self, ctx: &mut Ctx<'_>) -> SubPoll {
         assert!(self.pending.is_none(), "advance with unfed pending op");
         if let Some(v) = self.finished {
             return SubPoll::Finished(v);
         }
-        loop {
-            let input = self.next_input.take().expect("runtime missing input");
-            let top = self.stack.last_mut().expect("runtime with empty stack");
-            match top.resume(input, ctx) {
-                Poll::Op(op) => {
-                    self.pending = Some(op);
-                    return SubPoll::NeedsOp(op);
-                }
-                Poll::Call(child) => {
-                    self.stack.push(child);
-                    self.next_input = Some(Resume::Start);
-                }
-                Poll::Done(v) => {
-                    self.stack.pop();
-                    if self.stack.is_empty() {
-                        self.finished = Some(v);
-                        return SubPoll::Finished(v);
-                    }
-                    self.next_input = Some(Resume::Child(v));
-                }
+        let input = self.next_input.take().expect("runtime missing input");
+        match self.protocol.resume(input, ctx) {
+            Poll::Op(op) => {
+                self.pending = Some(op);
+                SubPoll::NeedsOp(op)
+            }
+            Poll::Done(v) => {
+                self.finished = Some(v);
+                SubPoll::Finished(v)
             }
         }
     }
@@ -722,18 +704,6 @@ mod tests {
         }
     }
 
-    /// Calls a child `Const` and returns child value + 10.
-    struct Caller;
-    impl Protocol for Caller {
-        fn resume(&mut self, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
-            match input {
-                Resume::Start => Poll::Call(boxed(Const(5))),
-                Resume::Child(v) => Poll::Done(v + 10),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
     #[test]
     fn single_process_write_read() {
         let mut mem = Memory::new();
@@ -758,14 +728,6 @@ mod tests {
         assert_eq!(res.outcome(ProcessId(1)), Some(2));
         assert_eq!(res.steps().total(), 4);
         assert_eq!(res.steps().contention(), 2);
-    }
-
-    #[test]
-    fn call_stack_composition() {
-        let mem = Memory::new();
-        let res = Execution::new(mem, vec![Box::new(Caller)], 7).run(&mut RoundRobin::new(1));
-        assert_eq!(res.outcome(ProcessId(0)), Some(15));
-        assert_eq!(res.steps().total(), 0, "no shared-memory steps taken");
     }
 
     #[test]

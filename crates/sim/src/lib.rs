@@ -13,7 +13,8 @@
 //!   allocation, and exact space accounting (used to verify the paper's
 //!   Θ(n) vs Θ(n³) space claims).
 //! * [`protocol`] — algorithms written as resumable state machines
-//!   ([`protocol::Protocol`]) composed through an executor-managed call stack; each
+//!   ([`protocol::Protocol`]); composite objects hold their sub-objects'
+//!   state machines ([`protocol::Frame`]s) by value, and each
 //!   shared-memory operation is one *step* in the paper's sense.
 //! * [`adversary`] — the adversary hierarchy of the paper (adaptive,
 //!   location-oblivious, R/W-oblivious, oblivious), with views filtered by
@@ -65,6 +66,8 @@
 //! assert_eq!(result.outcome(ProcessId(0)), Some(7));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod executor;
 pub mod explore;
@@ -91,7 +94,9 @@ pub mod prelude {
     pub use crate::memory::{Memory, RegRange, RegionStats};
     pub use crate::metrics::{Aggregate, StepCounts};
     pub use crate::op::{MemOp, OpKind};
-    pub use crate::protocol::{boxed, ret, Const, Ctx, Notes, Poll, Protocol, Resume};
+    pub use crate::protocol::{
+        boxed, ret, Bound, Const, Ctx, Frame, Notes, Poll, Protocol, Resume,
+    };
     pub use crate::rng::{Randomness, SplitMix64};
     pub use crate::scenario::{ArrivalSpec, FaultSpec, Scenario, ScenarioAdversary, StrategySpec};
     pub use crate::schedule::Schedule;

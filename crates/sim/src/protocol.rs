@@ -2,10 +2,21 @@
 //!
 //! An algorithm for one process is a [`Protocol`]: a state machine that the
 //! per-process runtime drives by calling [`Protocol::resume`]. Each call
-//! either requests one shared-memory operation ([`Poll::Op`]), calls a child
-//! protocol ([`Poll::Call`]) — which is how the paper's object compositions
-//! (group elections inside leader-election ladders inside combiners) are
-//! expressed — or terminates with a result ([`Poll::Done`]).
+//! either requests one shared-memory operation ([`Poll::Op`]) or
+//! terminates with a result ([`Poll::Done`]).
+//!
+//! The paper's objects are built from smaller objects (group elections
+//! inside leader-election ladders inside combiners). Each object's
+//! operation is a [`Frame`]: a plain state machine that is resumed with a
+//! borrowed reference to its object and holds the frames of the
+//! sub-objects it is currently running *by value*. A composite frame
+//! forwards each resume to its active child and, when the child finishes,
+//! continues with the child's result in the same call (see
+//! [`ready!`](crate::ready!)).
+//! A whole operation is therefore one value on the caller's stack: the
+//! native runtime drives it without allocating, and [`Bound`] packages a
+//! frame with an owned handle to its object as the boxed, `'static`
+//! protocol the simulator runs.
 //!
 //! Local computation and coin flips happen *inside* `resume`, between
 //! shared-memory steps. After `resume` returns `Poll::Op`, the process is
@@ -15,6 +26,8 @@
 //! require: a location-oblivious adversary sees the pending operation's type
 //! and write value but not its register, an R/W-oblivious adversary sees the
 //! register but not the type.
+
+use std::borrow::Borrow;
 
 use crate::op::MemOp;
 use crate::rng::Randomness;
@@ -40,25 +53,13 @@ pub mod ret {
 }
 
 /// What a protocol does next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Poll {
     /// Perform one shared-memory operation; its result arrives in the next
     /// [`Resume`].
     Op(MemOp),
-    /// Run a child protocol to completion; its result arrives as
-    /// [`Resume::Child`].
-    Call(Box<dyn Protocol>),
     /// The protocol finished with this result.
     Done(Word),
-}
-
-impl std::fmt::Debug for Poll {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Poll::Op(op) => f.debug_tuple("Op").field(op).finish(),
-            Poll::Call(p) => f.debug_tuple("Call").field(&p.name()).finish(),
-            Poll::Done(v) => f.debug_tuple("Done").field(v).finish(),
-        }
-    }
 }
 
 /// The event a protocol is resumed with.
@@ -70,9 +71,6 @@ pub enum Resume {
     Read(Word),
     /// The write requested by the previous `Poll::Op` completed.
     Wrote,
-    /// The child protocol called by the previous `Poll::Call` finished with
-    /// this value.
-    Child(Word),
 }
 
 impl Resume {
@@ -88,18 +86,36 @@ impl Resume {
             other => panic!("expected Resume::Read, got {other:?}"),
         }
     }
+}
 
-    /// Extract the child result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is not [`Resume::Child`].
-    pub fn child_value(self) -> Word {
-        match self {
-            Resume::Child(v) => v,
-            other => panic!("expected Resume::Child, got {other:?}"),
+/// Resume a child frame from inside a parent's `resume`: an operation the
+/// child requests is returned from the enclosing function as the parent's
+/// own, and a finished child evaluates to its result word.
+///
+/// ```
+/// use rtas_sim::prelude::*;
+/// use rtas_sim::ready;
+///
+/// /// Runs its child, then adds 10 to the child's result.
+/// struct AddTen(Const);
+/// impl Protocol for AddTen {
+///     fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+///         Poll::Done(ready!(self.0.resume(input, ctx)) + 10)
+///     }
+/// }
+/// # let mut rng = SplitMix64::new(0);
+/// # let mut notes = Notes::default();
+/// # let mut ctx = Ctx { pid: ProcessId(0), rng: &mut rng, notes: &mut notes };
+/// assert_eq!(AddTen(Const(5)).resume(Resume::Start, &mut ctx), Poll::Done(15));
+/// ```
+#[macro_export]
+macro_rules! ready {
+    ($poll:expr) => {
+        match $poll {
+            $crate::protocol::Poll::Op(op) => return $crate::protocol::Poll::Op(op),
+            $crate::protocol::Poll::Done(value) => value,
         }
-    }
+    };
 }
 
 /// Per-process scratch flags shared between composed protocols.
@@ -146,12 +162,56 @@ pub trait Protocol: Send {
     /// Advance the state machine.
     ///
     /// The first call passes [`Resume::Start`]; afterwards the runtime
-    /// passes the event corresponding to the previous [`Poll`].
+    /// passes the event corresponding to the previous [`Poll::Op`].
     fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll;
+}
 
-    /// Human-readable name for debugging and history recording.
-    fn name(&self) -> &'static str {
-        "protocol"
+impl<P: Protocol + ?Sized> Protocol for Box<P> {
+    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        (**self).resume(input, ctx)
+    }
+}
+
+/// One operation on a shared object, as a state machine that borrows the
+/// object on every resume instead of owning a handle to it.
+///
+/// Same contract as [`Protocol::resume`]; `object` must be the same object
+/// on every call of one operation.
+pub trait Frame: Send {
+    /// The object this frame operates on.
+    type Object: ?Sized;
+
+    /// Advance the state machine.
+    fn resume(&mut self, object: &Self::Object, input: Resume, ctx: &mut Ctx<'_>) -> Poll;
+}
+
+/// A [`Frame`] together with a handle to its object: a [`Protocol`].
+///
+/// With an owned handle (a descriptor or a cheaply cloned structure) this
+/// is the `'static` boxed protocol the simulator runs; with a plain
+/// reference it is the borrowed protocol the native runtime drives in
+/// place.
+#[derive(Debug, Clone)]
+pub struct Bound<H, F> {
+    object: H,
+    frame: F,
+}
+
+impl<H, F> Bound<H, F> {
+    /// Run `frame` against `object`.
+    pub fn new(object: H, frame: F) -> Self {
+        Bound { object, frame }
+    }
+}
+
+impl<H, F> Protocol for Bound<H, F>
+where
+    F: Frame,
+    H: Borrow<F::Object> + Send,
+{
+    #[inline]
+    fn resume(&mut self, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+        self.frame.resume(self.object.borrow(), input, ctx)
     }
 }
 
@@ -166,10 +226,6 @@ impl Protocol for Const {
     fn resume(&mut self, _input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
         Poll::Done(self.0)
     }
-
-    fn name(&self) -> &'static str {
-        "const"
-    }
 }
 
 /// Boxed protocol constructor helpers.
@@ -182,10 +238,19 @@ mod tests {
     use super::*;
     use crate::word::RegId;
 
+    fn with_ctx<T>(f: impl FnOnce(&mut Ctx<'_>) -> T) -> T {
+        let mut rng = crate::rng::SplitMix64::new(0);
+        let mut notes = Notes::default();
+        f(&mut Ctx {
+            pid: ProcessId(0),
+            rng: &mut rng,
+            notes: &mut notes,
+        })
+    }
+
     #[test]
     fn resume_accessors() {
         assert_eq!(Resume::Read(5).read_value(), 5);
-        assert_eq!(Resume::Child(7).child_value(), 7);
     }
 
     #[test]
@@ -195,25 +260,91 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expected Resume::Child")]
-    fn child_value_panics_on_wrong_variant() {
-        Resume::Start.child_value();
+    fn const_protocol_finishes_immediately() {
+        let poll = with_ctx(|ctx| Const(9).resume(Resume::Start, ctx));
+        assert_eq!(poll, Poll::Done(9));
+    }
+
+    /// Writes 7 to its register, then returns what it reads back.
+    #[derive(Default)]
+    struct WriteRead(u8);
+
+    impl Frame for WriteRead {
+        type Object = RegId;
+
+        fn resume(&mut self, reg: &RegId, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
+            self.0 += 1;
+            match self.0 {
+                1 => Poll::Op(MemOp::Write(*reg, 7)),
+                2 => Poll::Op(MemOp::Read(*reg)),
+                _ => Poll::Done(input.read_value()),
+            }
+        }
+    }
+
+    /// Runs a `WriteRead` child on each of its two registers in turn and
+    /// returns the sum of their results.
+    #[derive(Default)]
+    struct Both {
+        child: WriteRead,
+        index: usize,
+        sum: Word,
+    }
+
+    impl Frame for Both {
+        type Object = [RegId; 2];
+
+        fn resume(&mut self, regs: &[RegId; 2], mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
+            loop {
+                self.sum += ready!(self.child.resume(&regs[self.index], input, ctx));
+                if self.index == 1 {
+                    return Poll::Done(self.sum);
+                }
+                self.index = 1;
+                self.child = WriteRead::default();
+                input = Resume::Start;
+            }
+        }
     }
 
     #[test]
-    fn const_protocol_finishes_immediately() {
-        let mut rng = crate::rng::SplitMix64::new(0);
-        let mut notes = Notes::default();
-        let mut ctx = Ctx {
-            pid: ProcessId(0),
-            rng: &mut rng,
-            notes: &mut notes,
-        };
-        let mut c = Const(9);
-        match c.resume(Resume::Start, &mut ctx) {
-            Poll::Done(9) => {}
-            other => panic!("unexpected poll {other:?}"),
-        }
+    fn composite_frames_forward_child_ops_and_continue_with_results() {
+        let regs = [RegId(3), RegId(4)];
+        let mut protocol = Bound::new(regs, Both::default());
+        let polls: Vec<Poll> = with_ctx(|ctx| {
+            [
+                Resume::Start,
+                Resume::Wrote,
+                Resume::Read(7),
+                Resume::Wrote,
+                Resume::Read(8),
+            ]
+            .into_iter()
+            .map(|input| protocol.resume(input, ctx))
+            .collect()
+        });
+        assert_eq!(
+            polls,
+            [
+                Poll::Op(MemOp::Write(regs[0], 7)),
+                Poll::Op(MemOp::Read(regs[0])),
+                Poll::Op(MemOp::Write(regs[1], 7)),
+                Poll::Op(MemOp::Read(regs[1])),
+                Poll::Done(15),
+            ]
+        );
+    }
+
+    #[test]
+    fn bound_frames_run_boxed_or_borrowing() {
+        let reg = RegId(0);
+        let mut boxed: Box<dyn Protocol> = Box::new(Bound::new(reg, WriteRead::default()));
+        let mut borrowing = Bound::new(&reg, WriteRead::default());
+        with_ctx(|ctx| {
+            for input in [Resume::Start, Resume::Wrote, Resume::Read(7)] {
+                assert_eq!(boxed.resume(input, ctx), borrowing.resume(input, ctx));
+            }
+        });
     }
 
     #[test]
@@ -222,7 +353,6 @@ mod tests {
             format!("{:?}", Poll::Op(MemOp::Read(RegId(1)))),
             "Op(Read(r1))"
         );
-        assert!(format!("{:?}", Poll::Call(boxed(Const(0)))).contains("const"));
         assert_eq!(format!("{:?}", Poll::Done(3)), "Done(3)");
     }
 }

@@ -263,12 +263,11 @@ fn executor_view_filters_like_pending_view() {
 fn combined_unique_winner() {
     // Heavier cases, fewer iterations.
     use rtas::algorithms::Combined;
-    use rtas::primitives::LeaderElect;
     for mut draw in cases(10, 12) {
         let k = 1 + draw.next_below(7) as usize;
         let seed = draw.next_u64();
         let mut mem = Memory::new();
-        let weak: Arc<dyn LeaderElect> = Arc::new(LogStarLe::new(&mut mem, k));
+        let weak = Arc::new(LogStarLe::new(&mut mem, k));
         let le = Combined::new(&mut mem, weak, k);
         let protos: Vec<Box<dyn Protocol>> = (0..k).map(|_| le.elect()).collect();
         let res = Execution::new(mem, protos, seed).run(&mut RandomSchedule::new(seed ^ 11));
