@@ -19,9 +19,9 @@
 
 use std::process::ExitCode;
 
+use rtas_bench::e2e::bench_report;
 use rtas_obs::{
-    audit_events, bench_report, decode_dump, merge_spans, render_merge_json, render_merge_timeline,
-    TraceDump,
+    audit_events, decode_dump, merge_spans, render_merge_json, render_merge_timeline, TraceDump,
 };
 
 fn usage() -> String {

@@ -20,15 +20,15 @@ use rtas::algorithms::attacks::AscendingWriteAttack;
 use rtas::algorithms::group_elect::{run_group_election, GeometricGroupElect, SiftingGroupElect};
 use rtas::algorithms::logstar::log_star;
 use rtas::algorithms::{Combined, LogLogLe, LogStarLe, OriginalRatRace, SpaceEfficientRatRace};
-use rtas::lowerbound::covering::covering_base_case;
-use rtas::lowerbound::hitting_time::{geometric_ge_rate, iterated_rate_depth};
-use rtas::lowerbound::recurrence::{closed_form_f, f_sequence};
-use rtas::lowerbound::yao::schedule_tail_probabilities;
 use rtas::primitives::{LeaderElect, RoleLeaderElect, TwoProcessLe};
 use rtas::sim::executor::Execution;
 use rtas::sim::memory::Memory;
 use rtas::sim::protocol::{ret, Protocol};
 use rtas::sim::scenario::Scenario;
+use rtas_lowerbound::covering::covering_base_case;
+use rtas_lowerbound::hitting_time::{geometric_ge_rate, iterated_rate_depth};
+use rtas_lowerbound::recurrence::{closed_form_f, f_sequence};
+use rtas_lowerbound::yao::schedule_tail_probabilities;
 
 use crate::report::BenchRow;
 use crate::runner::{Sweep, SweepPoint, Trial, TrialRunner};
@@ -497,7 +497,7 @@ pub fn e6_space_lower_bound(scale: Scale, runner: &TrialRunner) -> Vec<(u64, u64
 pub fn e7_two_process_tail(
     scale: Scale,
     runner: &TrialRunner,
-) -> Vec<rtas::lowerbound::yao::TailReport> {
+) -> Vec<rtas_lowerbound::yao::TailReport> {
     print_header(
         "E7",
         "Theorem 6.1: max over schedules of Pr[some proc needs >= t steps] >= 1/4^t",

@@ -7,6 +7,7 @@
 //! EXPERIMENTS.md records paper-vs-measured for each.
 
 pub mod diff;
+pub mod e2e;
 pub mod experiments;
 pub mod microbench;
 pub mod report;

@@ -7,7 +7,8 @@
 //!   the *distributional* row statistics the paper's claims are actually
 //!   about (expected step complexity is a tail statement, not a point
 //!   mean): count, mean and variance via Welford's method, exact
-//!   min/max, p50/p90/p99 via a fixed-log-bin histogram, and a
+//!   min/max, p50/p90/p99 via a fixed-log-bin histogram (the
+//!   [`rtas_obs::metrics::bin_index`] scheme), and a
 //!   normal-approximation 95% confidence half-width.
 //! * shape regressions — [`log_log_slope`] and [`correlation`], the tiny
 //!   least-squares helpers the experiment assertions use to check growth
@@ -41,52 +42,7 @@
 //! any thread count the stronger way: results are folded *in trial-index
 //! order* on one thread after the workers join.
 
-/// Number of linear sub-bins per power-of-two octave. Eight sub-bins
-/// bound the histogram's relative quantile error by `1/16` (each bin
-/// spans a ratio of at most `9/8`; the reported midpoint is within
-/// ±6.25% of every value in the bin).
-const SUB_BINS: u64 = 8;
-/// Smallest octave tracked exactly: values in `[2^-32, 2^96)` land in a
-/// dedicated bin; smaller positives clamp to the first bin, larger to
-/// the last. Step counts, register counts, and wall-clock milliseconds
-/// all live comfortably inside this range.
-const MIN_EXP: i64 = -32;
-const MAX_EXP: i64 = 95;
-const OCTAVES: usize = (MAX_EXP - MIN_EXP + 1) as usize;
-
-/// Total histogram bins in the log-bin scheme ([`bin_index`] returns
-/// values in `0..BINS`). Public so other consumers — the `rtas-obs`
-/// metrics plane's lock-free latency histograms — can size their bin
-/// arrays to the exact same layout and stay merge-compatible with
-/// [`StatsAccumulator`]'s quantile semantics.
-pub const BINS: usize = OCTAVES * SUB_BINS as usize;
-
-/// Histogram bin for a finite positive value: octave from the f64
-/// exponent bits, sub-bin from the top three mantissa bits. Pure bit
-/// arithmetic — no rounding-sensitive float ops — so binning is exactly
-/// reproducible everywhere. Public as the shared binning scheme behind
-/// both [`StatsAccumulator`] and the `rtas-obs` atomic histograms.
-pub fn bin_index(v: f64) -> usize {
-    debug_assert!(v.is_finite() && v > 0.0);
-    let bits = v.to_bits();
-    let exp = ((bits >> 52) & 0x7ff) as i64 - 1023;
-    if exp < MIN_EXP {
-        return 0;
-    }
-    if exp > MAX_EXP {
-        return BINS - 1;
-    }
-    let sub = (bits >> 49) & 0x7;
-    ((exp - MIN_EXP) as u64 * SUB_BINS + sub) as usize
-}
-
-/// Midpoint of histogram bin `idx`: `2^e · (1 + (sub + ½)/8)` — the
-/// value a [`bin_index`]-binned quantile reports for that bin.
-pub fn bin_midpoint(idx: usize) -> f64 {
-    let exp = (idx / SUB_BINS as usize) as i64 + MIN_EXP;
-    let sub = (idx % SUB_BINS as usize) as f64;
-    (exp as f64).exp2() * (1.0 + (sub + 0.5) / SUB_BINS as f64)
-}
+use rtas_obs::metrics::{bin_index, bin_midpoint, BINS};
 
 /// Streaming distribution statistics over one batch of observations.
 ///
@@ -600,20 +556,6 @@ mod tests {
         let mut empty = StatsAccumulator::new();
         empty.merge(&snapshot);
         assert_eq!(empty, snapshot);
-    }
-
-    #[test]
-    fn bin_index_is_monotone_and_midpoint_brackets() {
-        let mut prev = 0usize;
-        for i in 1..4000u64 {
-            let v = i as f64 * 0.25;
-            let idx = bin_index(v);
-            assert!(idx >= prev, "v={v}");
-            prev = idx;
-            let mid = bin_midpoint(idx);
-            // The midpoint is within one bin width of the value.
-            assert!(mid / v < 1.07 && v / mid < 1.07, "v={v} mid={mid}");
-        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! | simulator | [`rtas_sim`] (re-exported as [`sim`]) | registers, adversaries, executor, exhaustive explorer |
 //! | primitives | [`rtas_primitives`] (re-exported as [`primitives`]) | splitters, 2/3-process elections, TAS-from-LE |
 //! | algorithms | [`rtas_algorithms`] (re-exported as [`algorithms`]) | Fig. 1 group election, O(log* k) LE, O(log log k) LE, RatRace ×2, Section 4 combiner |
-//! | lower bounds | [`rtas_lowerbound`] (re-exported as [`lowerbound`]) | Section 5 recurrence + covering, Theorem 6.1 schedule search |
+//! | lower bounds | the separate `rtas-lowerbound` crate (not linked by this one) | Section 5 recurrence + covering, Theorem 6.1 schedule search |
 //! | native | [`native`] | the same protocols on real `AtomicU64`s |
 //!
 //! ## One-shot objects
@@ -56,7 +56,6 @@ pub use once::RegisterOnce;
 pub use renaming::Renaming;
 
 pub use rtas_algorithms as algorithms;
-pub use rtas_lowerbound as lowerbound;
 pub use rtas_primitives as primitives;
 pub use rtas_sim as sim;
 

@@ -29,22 +29,22 @@
 //!   or as JSON (`rtas-svc trace-dump`).
 //! * [`metrics`] — the **metrics plane**: typed [`Counter`]s,
 //!   [`Gauge`]s, and lock-free log-bin latency [`Histogram`]s (the
-//!   exact [`rtas_bench::stats`] bin scheme, so quantile semantics
-//!   match the BENCH reports), registered by name in a [`Registry`]
-//!   that renders the versioned key/value text the `METRICS` wire op
-//!   serves.
+//!   bin scheme `rtas-bench`'s stats engine imports from here, so
+//!   quantile semantics match the BENCH reports), registered by name
+//!   in a [`Registry`] that renders the versioned key/value text the
+//!   `METRICS` wire op serves.
 //! * [`merge`] — cross-tier span joining: the wire trace extension
 //!   (`docs/WIRE.md`) gives a request one span id on both sides of the
 //!   socket, and [`merge_spans`] pairs a client dump's
 //!   [`EventKind::ClientSpan`]s with a server dump's
 //!   [`EventKind::ServerSpan`]s into per-request end-to-end timelines
-//!   plus a network/server/queue latency breakdown
-//!   (`BENCH_svc_e2e.json`).
+//!   plus a network/server/queue latency breakdown (which `rtas-bench`
+//!   turns into `BENCH_svc_e2e.json`).
 //! * [`audit`] — the trace-evidence auditor: [`audit_events`] replays
 //!   verdict/ack/reclaim evidence from any dump and verifies the
 //!   paper's safety claim (exactly one winner per key-epoch, no
-//!   post-reclaim wins) offline. `rtas-trace merge|audit` is the CLI
-//!   front end for both.
+//!   post-reclaim wins) offline. `rtas-trace merge|audit` (in
+//!   `rtas-bench`) is the CLI front end for both.
 //!
 //! The flight recorder is opt-in ([`TraceMode::Off`] records nothing
 //! and costs one branch per site); the metrics plane is always on
@@ -65,9 +65,7 @@ pub mod ring;
 pub use audit::{audit_events, AuditReport};
 pub use dump::{decode_dump, encode_dump, render_json, render_timeline, LaneDump, TraceDump};
 pub use event::{lane_name, EventKind, Lane, TraceEvent};
-pub use merge::{
-    bench_report, merge_spans, render_merge_json, render_merge_timeline, MergeOutcome, SpanPair,
-};
+pub use merge::{merge_spans, render_merge_json, render_merge_timeline, MergeOutcome, SpanPair};
 pub use metrics::{
     parse_metrics, Counter, Gauge, Histogram, Registry, METRICS_HEADER, METRICS_HEADER_V1,
 };

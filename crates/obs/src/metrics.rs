@@ -4,10 +4,11 @@
 //! Unlike the flight recorder, the metrics plane is **always on**:
 //! every instrument is a relaxed atomic (or an array of them), cheap
 //! enough to keep lit on the hot path, and sweeping a snapshot never
-//! stops writers. [`Histogram`] reuses the exact
-//! [`rtas_bench::stats`] log-bin scheme ([`BINS`] bins, `bin_index` /
-//! `bin_midpoint`), so its quantiles carry the same ±6.25% relative
-//! error contract as every BENCH report in this repo.
+//! stops writers. [`Histogram`] bins on the log-bin scheme defined
+//! here ([`BINS`] bins, [`bin_index`] / [`bin_midpoint`]) — the same
+//! scheme `rtas-bench`'s `StatsAccumulator` imports — so its quantiles
+//! carry the same ±6.25% relative error contract as every BENCH report
+//! in this repo.
 //!
 //! [`Registry::render`] produces the versioned key/value text served by
 //! the `METRICS` wire opcode:
@@ -24,7 +25,6 @@
 //! decimal — trivially parseable by `rtas-load`'s scraper and by
 //! humans.
 
-use rtas_bench::stats::{bin_index, bin_midpoint, BINS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -91,8 +91,55 @@ impl Gauge {
     }
 }
 
-/// A lock-free latency histogram over the shared
-/// [`rtas_bench::stats`] log-bin layout.
+/// Number of linear sub-bins per power-of-two octave. Eight sub-bins
+/// bound the histogram's relative quantile error by `1/16` (each bin
+/// spans a ratio of at most `9/8`; the reported midpoint is within
+/// ±6.25% of every value in the bin).
+const SUB_BINS: u64 = 8;
+/// Smallest octave tracked exactly: values in `[2^-32, 2^96)` land in a
+/// dedicated bin; smaller positives clamp to the first bin, larger to
+/// the last. Step counts, register counts, and wall-clock milliseconds
+/// all live comfortably inside this range.
+const MIN_EXP: i64 = -32;
+const MAX_EXP: i64 = 95;
+const OCTAVES: usize = (MAX_EXP - MIN_EXP + 1) as usize;
+
+/// Total histogram bins in the log-bin scheme ([`bin_index`] returns
+/// values in `0..BINS`). Public so the experiment harness's
+/// `StatsAccumulator` (in `rtas-bench`) sizes its bins to the exact
+/// same layout as [`Histogram`], keeping the BENCH reports' quantile
+/// semantics identical to the metrics plane's.
+pub const BINS: usize = OCTAVES * SUB_BINS as usize;
+
+/// Histogram bin for a finite positive value: octave from the f64
+/// exponent bits, sub-bin from the top three mantissa bits. Pure bit
+/// arithmetic — no rounding-sensitive float ops — so binning is exactly
+/// reproducible everywhere. Public as the shared binning scheme behind
+/// both [`Histogram`] and `rtas-bench`'s `StatsAccumulator`.
+pub fn bin_index(v: f64) -> usize {
+    debug_assert!(v.is_finite() && v > 0.0);
+    let bits = v.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i64 - 1023;
+    if exp < MIN_EXP {
+        return 0;
+    }
+    if exp > MAX_EXP {
+        return BINS - 1;
+    }
+    let sub = (bits >> 49) & 0x7;
+    ((exp - MIN_EXP) as u64 * SUB_BINS + sub) as usize
+}
+
+/// Midpoint of histogram bin `idx`: `2^e · (1 + (sub + ½)/8)` — the
+/// value a [`bin_index`]-binned quantile reports for that bin.
+pub fn bin_midpoint(idx: usize) -> f64 {
+    let exp = (idx / SUB_BINS as usize) as i64 + MIN_EXP;
+    let sub = (idx % SUB_BINS as usize) as f64;
+    (exp as f64).exp2() * (1.0 + (sub + 0.5) / SUB_BINS as f64)
+}
+
+/// A lock-free latency histogram over the shared log-bin layout
+/// ([`BINS`] bins, [`bin_index`] / [`bin_midpoint`]).
 ///
 /// Values are whatever unit the caller names the metric with (this repo
 /// records nanoseconds and suffixes names `_ns`). Non-finite or
@@ -330,6 +377,20 @@ pub fn parse_metrics(text: &str) -> Option<Vec<(String, f64)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bin_index_is_monotone_and_midpoint_brackets() {
+        let mut prev = 0usize;
+        for i in 1..4000u64 {
+            let v = i as f64 * 0.25;
+            let idx = bin_index(v);
+            assert!(idx >= prev, "v={v}");
+            prev = idx;
+            let mid = bin_midpoint(idx);
+            // The midpoint is within one bin width of the value.
+            assert!(mid / v < 1.07 && v / mid < 1.07, "v={v} mid={mid}");
+        }
+    }
 
     #[test]
     fn counters_and_gauges_do_arithmetic() {

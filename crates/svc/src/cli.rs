@@ -80,14 +80,14 @@ pub const SERVE_FLAGS: &[Flag] = &[
         name: "--engine",
         value: "<e>",
         default: "epoll (threads where unsupported)",
-        help: "connection engine: epoll | poll | threads",
+        help: "connection engine: epoll | threads",
         sample: "threads",
     },
     Flag {
         name: "--workers",
         value: "<n>",
         default: "available parallelism, capped at 8",
-        help: "reactor worker threads (epoll/poll engines only)",
+        help: "reactor worker threads (epoll engine only)",
         sample: "2",
     },
     Flag {
@@ -218,7 +218,7 @@ pub fn parse_serve(args: &[String]) -> Result<SvcConfig, String> {
             "--engine" => {
                 let v = value("--engine")?;
                 config.engine = Engine::parse(v)
-                    .ok_or_else(|| format!("unknown engine {v:?} (epoll|poll|threads)"))?;
+                    .ok_or_else(|| format!("unknown engine {v:?} (epoll|threads)"))?;
             }
             "--backend" => {
                 let v = value("--backend")?;
@@ -390,6 +390,7 @@ mod tests {
         assert!(err(&["--shards", "many"]).contains("is invalid"));
         assert!(err(&["--lease-ms", "0"]).contains("omit to disable"));
         assert!(err(&["--engine", "uring"]).contains("unknown engine"));
+        assert!(err(&["--engine", "poll"]).contains("unknown engine"));
         assert!(err(&["--backend", "quantum"]).contains("unknown backend"));
         let cap_err = err(&["--capacity", "1000000000"]);
         assert!(cap_err.contains("--capacity must be at most"), "{cap_err}");
@@ -409,7 +410,7 @@ mod tests {
             "--listeners",
             "1",
             "--engine",
-            "poll",
+            "threads",
             "--workers",
             "2",
             "--max-keys",
@@ -432,7 +433,7 @@ mod tests {
         assert_eq!(config.capacity, 5);
         assert_eq!(config.backend, rtas::Backend::LogLog);
         assert_eq!(config.listeners, 1);
-        assert_eq!(config.engine, Engine::Poll);
+        assert_eq!(config.engine, Engine::Threads);
         assert_eq!(config.workers, 2);
         assert_eq!(config.max_keys, 10);
         assert_eq!(config.lease, Some(Duration::from_millis(250)));

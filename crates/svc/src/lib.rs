@@ -21,9 +21,9 @@
 //!   decoder that drains whole pipelined bursts per read and carries
 //!   partial frames across reads;
 //! * [`reactor`] — the readiness-driven core: an `epoll(7)`-backed
-//!   event loop (`poll(2)` as the reference engine) over a libc-free
-//!   syscall shim, driving thousands of `Connection` machines per
-//!   worker with write backpressure and timer-wheel read deadlines;
+//!   event loop over a libc-free syscall shim, driving thousands of
+//!   `Connection` machines per worker with write backpressure and
+//!   timer-wheel read deadlines;
 //! * [`server`] / [`client`] — TCP serving through either engine
 //!   (reactor workers by default, thread-per-connection as the
 //!   portable fallback) with sharded accept loops and bulk-I/O burst
@@ -43,7 +43,7 @@
 //!   rings dumped in the `RTASTRC1` format and decoded by
 //!   `rtas-svc trace-dump`; [`top`] renders a live terminal view over
 //!   the same metrics plane (`rtas-svc top`), and the `rtas-trace`
-//!   binary merges client/server dumps on wire-propagated span ids
+//!   binary (in `rtas-bench`) merges client/server dumps on wire-propagated span ids
 //!   and audits them against the paper's safety claim offline.
 //!
 //! The `rtas-svc` binary serves (`rtas-svc serve`) and inspects

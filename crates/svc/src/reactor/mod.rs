@@ -3,12 +3,11 @@
 //! The blocking server spends one OS thread per connection; this
 //! module spends one `Worker` thread per core-ish
 //! ([`SvcConfig::workers`](crate::SvcConfig::workers)) and multiplexes
-//! every connection assigned to it over a single readiness source —
-//! `epoll(7)` by default, `poll(2)` as the portable reference engine —
-//! reached through the inline-assembly syscall shim in `sys.rs` (the
-//! repo takes no external crates, and std exposes neither API). See
-//! `docs/ARCHITECTURE.md` for the full picture; `worker.rs` holds the
-//! event-loop contract.
+//! every connection assigned to it over a single readiness source,
+//! `epoll(7)`, reached through the inline-assembly syscall shim in
+//! `sys.rs` (the repo takes no external crates, and std does not
+//! expose it). See `docs/ARCHITECTURE.md` for the full picture;
+//! `worker.rs` holds the event-loop contract.
 //!
 //! Division of labor:
 //!
@@ -26,8 +25,8 @@
 //!   already used.
 //!
 //! On platforms without the shim (anything but Linux on
-//! x86_64/aarch64) the reactor engines report themselves unsupported
-//! and `ReactorPool::spawn` fails cleanly; the caller keeps the
+//! x86_64/aarch64) the reactor engine reports itself unsupported and
+//! `ReactorPool::spawn` fails cleanly; the caller keeps the
 //! thread-per-connection engine instead.
 
 pub(crate) mod wheel;
@@ -59,8 +58,8 @@ use crate::namespace::Namespace;
 
 /// Which connection-serving engine a server runs.
 ///
-/// `epoll` and `poll` are the reactor engines (many connections per
-/// worker; see the [module docs](self)); `threads` is the original
+/// `epoll` is the reactor engine (many connections per worker; see
+/// the [module docs](self)); `threads` is the original
 /// thread-per-connection design, kept both as the portable fallback
 /// and as the behavioral reference the reactor is tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,16 +67,13 @@ pub enum Engine {
     /// Readiness via `epoll(7)`: O(ready) waits, the default on
     /// supported platforms.
     Epoll,
-    /// Readiness via `poll(2)`: O(registered) waits; the simpler
-    /// reference engine.
-    Poll,
     /// One blocking handler thread per connection.
     Threads,
 }
 
 impl Engine {
-    /// Whether this build has the syscall shim the reactor engines
-    /// need (Linux on x86_64 or aarch64).
+    /// Whether this build has the syscall shim the reactor engine
+    /// needs (Linux on x86_64 or aarch64).
     pub const SHIM_SUPPORTED: bool = cfg!(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
@@ -93,21 +89,19 @@ impl Engine {
         }
     }
 
-    /// Parse a `--engine` value (`epoll` | `poll` | `threads`).
+    /// Parse a `--engine` value (`epoll` | `threads`).
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "epoll" => Some(Engine::Epoll),
-            "poll" => Some(Engine::Poll),
             "threads" => Some(Engine::Threads),
             _ => None,
         }
     }
 
-    /// The CLI/report spelling (`epoll` | `poll` | `threads`).
+    /// The CLI/report spelling (`epoll` | `threads`).
     pub fn label(self) -> &'static str {
         match self {
             Engine::Epoll => "epoll",
-            Engine::Poll => "poll",
             Engine::Threads => "threads",
         }
     }
@@ -173,7 +167,7 @@ impl Dispatcher {
 }
 
 /// A running worker pool plus its dispatcher — what `Server` holds
-/// when an reactor engine is selected.
+/// when the reactor engine is selected.
 #[derive(Debug)]
 pub(crate) struct ReactorPool {
     dispatcher: Arc<Dispatcher>,
@@ -181,12 +175,10 @@ pub(crate) struct ReactorPool {
 }
 
 impl ReactorPool {
-    /// Build `workers` reactor workers for `engine`. Fails cleanly if
-    /// the engine is unsupported in this build or poller/wake-socket
-    /// setup fails — nothing is left running on error.
-    #[allow(clippy::too_many_arguments)]
+    /// Build `workers` epoll reactor workers. Fails cleanly if the
+    /// engine is unsupported in this build or poller/wake-socket setup
+    /// fails — nothing is left running on error.
     pub(crate) fn spawn(
-        engine: Engine,
         workers: usize,
         namespace: &Arc<Namespace>,
         gauges: &Arc<ConnGauges>,
@@ -195,17 +187,14 @@ impl ReactorPool {
         stop: &Arc<AtomicBool>,
         read_timeout: Option<Duration>,
     ) -> io::Result<ReactorPool> {
-        if !engine.supported() {
+        if !Engine::Epoll.supported() {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                format!(
-                    "engine '{engine}' needs the Linux x86_64/aarch64 syscall shim; \
-                     use --engine threads on this platform"
-                ),
+                "engine 'epoll' needs the Linux x86_64/aarch64 syscall shim; \
+                 use --engine threads on this platform",
             ));
         }
         spawn_impl(
-            engine,
             workers.max(1),
             namespace,
             gauges,
@@ -235,9 +224,7 @@ impl ReactorPool {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-#[allow(clippy::too_many_arguments)]
 fn spawn_impl(
-    engine: Engine,
     workers: usize,
     namespace: &Arc<Namespace>,
     gauges: &Arc<ConnGauges>,
@@ -255,7 +242,6 @@ fn spawn_impl(
         let (wake_rx, wake_tx) = worker::wake_pair()?;
         let inbox = Arc::new(Mutex::new(Vec::new()));
         built.push(worker::Worker::new(
-            engine,
             index,
             wake_rx,
             Arc::clone(&inbox),
@@ -288,9 +274,7 @@ fn spawn_impl(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-#[allow(clippy::too_many_arguments)]
 fn spawn_impl(
-    _engine: Engine,
     _workers: usize,
     _namespace: &Arc<Namespace>,
     _gauges: &Arc<ConnGauges>,

@@ -1,23 +1,19 @@
 //! The libc-free syscall shim behind the reactor.
 //!
 //! The repo's no-external-deps policy rules out the `libc` crate, and
-//! std exposes neither `epoll(7)` nor `poll(2)` — so the four syscalls
-//! the reactor needs are invoked directly through inline assembly on
-//! the platforms where the calling convention is stable and documented:
-//! Linux on x86_64 (`syscall`, number in `rax`, args in
-//! `rdi/rsi/rdx/r10/r8/r9`) and aarch64 (`svc 0`, number in `x8`, args
-//! in `x0..x5`). Everything else in the server stays plain std; on any
-//! other target this module is compiled out and the reactor engines
-//! report themselves unsupported (see [`crate::reactor::Engine`]),
-//! falling back to the thread-per-connection engine.
+//! std does not expose `epoll(7)` — so the four syscalls the reactor
+//! needs are invoked directly through inline assembly on the platforms
+//! where the calling convention is stable and documented: Linux on
+//! x86_64 (`syscall`, number in `rax`, args in `rdi/rsi/rdx/r10/r8/r9`)
+//! and aarch64 (`svc 0`, number in `x8`, args in `x0..x5`). Everything
+//! else in the server stays plain std; on any other target this module
+//! is compiled out and the reactor engine reports itself unsupported
+//! (see [`crate::reactor::Engine`]), falling back to the
+//! thread-per-connection engine.
 //!
-//! Two deliberate simplifications keep the shim thin:
-//!
-//! * `epoll_pwait` (with a null sigmask it is exactly `epoll_wait`) is
-//!   used on both architectures — aarch64 never had the older
-//!   `epoll_wait` number.
-//! * `ppoll` (with a null sigmask it is exactly `poll` with a
-//!   `timespec` timeout) likewise — aarch64 never had `poll`.
+//! One deliberate simplification keeps the shim thin: `epoll_pwait`
+//! (with a null sigmask it is exactly `epoll_wait`) is used on both
+//! architectures — aarch64 never had the older `epoll_wait` number.
 //!
 //! Errors follow the raw kernel convention: a negative return is
 //! `-errno`, converted here into [`io::Error::from_raw_os_error`] so
@@ -32,7 +28,6 @@ use std::os::fd::RawFd;
 #[cfg(target_arch = "x86_64")]
 mod nr {
     pub const CLOSE: usize = 3;
-    pub const PPOLL: usize = 271;
     pub const EPOLL_CTL: usize = 233;
     pub const EPOLL_PWAIT: usize = 281;
     pub const EPOLL_CREATE1: usize = 291;
@@ -41,7 +36,6 @@ mod nr {
 #[cfg(target_arch = "aarch64")]
 mod nr {
     pub const CLOSE: usize = 57;
-    pub const PPOLL: usize = 73;
     pub const EPOLL_CTL: usize = 21;
     pub const EPOLL_PWAIT: usize = 22;
     pub const EPOLL_CREATE1: usize = 20;
@@ -200,63 +194,6 @@ impl Drop for EpollFd {
     }
 }
 
-// --- poll ----------------------------------------------------------------
-
-/// Readability, for [`PollFd::events`].
-pub const POLLIN: i16 = 0x1;
-/// Writability, for [`PollFd::events`].
-pub const POLLOUT: i16 = 0x4;
-/// Error readiness (only ever appears in [`PollFd::revents`]).
-pub const POLLERR: i16 = 0x8;
-/// Hangup readiness (only ever appears in [`PollFd::revents`]).
-pub const POLLHUP: i16 = 0x10;
-
-/// One `struct pollfd`.
-#[derive(Debug, Clone, Copy)]
-#[repr(C)]
-pub struct PollFd {
-    /// The polled descriptor.
-    pub fd: RawFd,
-    /// Requested readiness (`POLLIN | ...`).
-    pub events: i16,
-    /// Kernel-reported readiness.
-    pub revents: i16,
-}
-
-/// `struct timespec` for `ppoll` (both supported targets are 64-bit).
-#[repr(C)]
-struct Timespec {
-    tv_sec: i64,
-    tv_nsec: i64,
-}
-
-/// `poll(2)` via `ppoll` with a null sigmask. `timeout_ms < 0` blocks
-/// indefinitely. Returns the number of entries with nonzero `revents`.
-pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    let ts = Timespec {
-        tv_sec: i64::from(timeout_ms) / 1000,
-        tv_nsec: (i64::from(timeout_ms) % 1000) * 1_000_000,
-    };
-    let ts_ptr = if timeout_ms < 0 {
-        0 // null timespec: block indefinitely
-    } else {
-        std::ptr::from_ref(&ts) as usize
-    };
-    // Safety: `fds` is a valid slice the kernel reads and writes within
-    // bounds; `ts` (when passed) outlives the call and is only read.
-    check(unsafe {
-        syscall6(
-            nr::PPOLL,
-            fds.as_mut_ptr() as usize,
-            fds.len(),
-            ts_ptr,
-            0, // null sigmask: plain poll semantics
-            0,
-            0,
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,24 +225,6 @@ mod tests {
 
         ep.ctl(EPOLL_CTL_DEL, rx.as_raw_fd(), 0, 0).unwrap();
         assert_eq!(ep.wait(&mut buf, 0).unwrap(), 0, "deregistered");
-    }
-
-    #[test]
-    fn poll_reports_readability_and_honors_zero_timeout() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (rx, _) = listener.accept().unwrap();
-
-        let mut fds = [PollFd {
-            fd: rx.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        }];
-        assert_eq!(poll(&mut fds, 0).unwrap(), 0, "nothing buffered yet");
-
-        tx.write_all(b"x").unwrap();
-        assert_eq!(poll(&mut fds, 1000).unwrap(), 1);
-        assert_ne!(fds[0].revents & POLLIN, 0, "readable");
     }
 
     #[test]

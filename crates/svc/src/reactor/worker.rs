@@ -1,7 +1,7 @@
 //! The reactor worker: one thread, one poller, many connections.
 //!
-//! Each worker owns a [`Poller`] (epoll instance or a `poll(2)`
-//! registry), a slab of [`ConnSlot`]s indexed by the poller token, and
+//! Each worker owns a [`Poller`] (an epoll instance and its event
+//! buffer), a slab of [`ConnSlot`]s indexed by the poller token, and
 //! an optional [`TimerWheel`] for read deadlines. Accept threads hand
 //! it fresh sockets through a mutexed inbox and wake it with one byte
 //! on its wake socket (a loopback TCP pair — std exposes no pipe or
@@ -43,8 +43,8 @@ use crate::conn::{ConnGauges, ConnObs, ConnStatus, Connection};
 use crate::metrics::SvcMetrics;
 use crate::namespace::Namespace;
 use crate::protocol::{frame_response, Response};
+use crate::reactor::sys;
 use crate::reactor::wheel::TimerWheel;
-use crate::reactor::{sys, Engine};
 
 /// Poller token reserved for the worker's wake socket.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -58,7 +58,7 @@ const READ_CHUNK: usize = 64 * 1024;
 /// next (immediate) wait.
 const EVENTS_PER_WAIT: usize = 1024;
 
-/// One readiness report, engine-neutral. There is no `writable`
+/// One decoded readiness report. There is no `writable`
 /// flag: the worker attempts a flush on *every* event for a
 /// connection, so write readiness only needs the token delivered.
 #[derive(Debug, Clone, Copy)]
@@ -67,39 +67,20 @@ struct Event {
     readable: bool,
 }
 
-/// The engine-specific readiness source. Both variants expose the same
-/// four verbs; both reuse their buffers so waiting allocates nothing.
+/// The readiness source: an epoll instance plus its reused event
+/// buffer, so waiting allocates nothing.
 #[derive(Debug)]
-enum Poller {
-    /// `epoll`: the kernel holds the interest set; waits are O(ready).
-    Epoll {
-        ep: sys::EpollFd,
-        buf: Vec<sys::EpollEvent>,
-    },
-    /// `poll(2)`: the interest set lives here and is re-submitted on
-    /// every wait — O(registered) per wait, kept as the portable
-    /// reference engine and A/B check for the epoll path.
-    Poll {
-        fds: Vec<sys::PollFd>,
-        tokens: Vec<u64>,
-        scratch: Vec<sys::PollFd>,
-    },
+struct Poller {
+    ep: sys::EpollFd,
+    buf: Vec<sys::EpollEvent>,
 }
 
 impl Poller {
-    fn new(engine: Engine) -> io::Result<Poller> {
-        match engine {
-            Engine::Epoll => Ok(Poller::Epoll {
-                ep: sys::EpollFd::new()?,
-                buf: Vec::with_capacity(EVENTS_PER_WAIT),
-            }),
-            Engine::Poll => Ok(Poller::Poll {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-                scratch: Vec::new(),
-            }),
-            Engine::Threads => Err(io::Error::other("the threads engine has no poller")),
-        }
+    fn new() -> io::Result<Poller> {
+        Ok(Poller {
+            ep: sys::EpollFd::new()?,
+            buf: Vec::with_capacity(EVENTS_PER_WAIT),
+        })
     }
 
     fn interest_bits(readable: bool, writable: bool) -> u32 {
@@ -113,17 +94,6 @@ impl Poller {
         bits
     }
 
-    fn poll_bits(readable: bool, writable: bool) -> i16 {
-        let mut bits = 0;
-        if readable {
-            bits |= sys::POLLIN;
-        }
-        if writable {
-            bits |= sys::POLLOUT;
-        }
-        bits
-    }
-
     fn register(
         &mut self,
         fd: RawFd,
@@ -131,53 +101,25 @@ impl Poller {
         readable: bool,
         writable: bool,
     ) -> io::Result<()> {
-        match self {
-            Poller::Epoll { ep, .. } => ep.ctl(
-                sys::EPOLL_CTL_ADD,
-                fd,
-                Self::interest_bits(readable, writable),
-                token,
-            ),
-            Poller::Poll { fds, tokens, .. } => {
-                fds.push(sys::PollFd {
-                    fd,
-                    events: Self::poll_bits(readable, writable),
-                    revents: 0,
-                });
-                tokens.push(token);
-                Ok(())
-            }
-        }
+        self.ep.ctl(
+            sys::EPOLL_CTL_ADD,
+            fd,
+            Self::interest_bits(readable, writable),
+            token,
+        )
     }
 
     fn modify(&mut self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
-        match self {
-            Poller::Epoll { ep, .. } => ep.ctl(
-                sys::EPOLL_CTL_MOD,
-                fd,
-                Self::interest_bits(readable, writable),
-                token,
-            ),
-            Poller::Poll { fds, .. } => {
-                if let Some(entry) = fds.iter_mut().find(|e| e.fd == fd) {
-                    entry.events = Self::poll_bits(readable, writable);
-                }
-                Ok(())
-            }
-        }
+        self.ep.ctl(
+            sys::EPOLL_CTL_MOD,
+            fd,
+            Self::interest_bits(readable, writable),
+            token,
+        )
     }
 
     fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            Poller::Epoll { ep, .. } => ep.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0),
-            Poller::Poll { fds, tokens, .. } => {
-                if let Some(at) = fds.iter().position(|e| e.fd == fd) {
-                    fds.swap_remove(at);
-                    tokens.swap_remove(at);
-                }
-                Ok(())
-            }
-        }
+        self.ep.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Wait up to `timeout_ms` (< 0: indefinitely) and decode readiness
@@ -186,45 +128,18 @@ impl Poller {
     /// next read/write discovers and classifies them.
     fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
         events.clear();
-        match self {
-            Poller::Epoll { ep, buf } => {
-                match ep.wait(buf, timeout_ms) {
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(()),
-                    Err(e) => return Err(e),
-                }
-                for ev in buf.iter() {
-                    let bits = { ev.events };
-                    let trouble = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
-                    events.push(Event {
-                        token: { ev.data },
-                        readable: bits & sys::EPOLLIN != 0 || trouble,
-                    });
-                }
-            }
-            Poller::Poll {
-                fds,
-                tokens,
-                scratch,
-            } => {
-                scratch.clear();
-                scratch.extend_from_slice(fds);
-                match sys::poll(scratch, timeout_ms) {
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(()),
-                    Err(e) => return Err(e),
-                }
-                for (entry, &token) in scratch.iter().zip(tokens.iter()) {
-                    if entry.revents == 0 {
-                        continue;
-                    }
-                    let trouble = entry.revents & (sys::POLLERR | sys::POLLHUP) != 0;
-                    events.push(Event {
-                        token,
-                        readable: entry.revents & sys::POLLIN != 0 || trouble,
-                    });
-                }
-            }
+        match self.ep.wait(&mut self.buf, timeout_ms) {
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(()),
+            Err(e) => return Err(e),
+        }
+        for ev in self.buf.iter() {
+            let bits = { ev.events };
+            let trouble = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
+            events.push(Event {
+                token: { ev.data },
+                readable: bits & sys::EPOLLIN != 0 || trouble,
+            });
         }
         Ok(())
     }
@@ -318,7 +233,6 @@ pub(super) struct Worker {
 impl Worker {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
-        engine: Engine,
         index: usize,
         wake_rx: TcpStream,
         inbox: Arc<Mutex<Vec<TcpStream>>>,
@@ -329,7 +243,7 @@ impl Worker {
         stop: Arc<AtomicBool>,
         read_timeout: Option<Duration>,
     ) -> io::Result<Worker> {
-        let mut poller = Poller::new(engine)?;
+        let mut poller = Poller::new()?;
         poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, true, false)?;
         let now = Instant::now();
         let mut deadline_err = Vec::new();

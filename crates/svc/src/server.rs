@@ -6,7 +6,7 @@
 //! [`TcpListener::try_clone`]). What happens to an accepted connection
 //! depends on [`SvcConfig::engine`]:
 //!
-//! * [`Engine::Epoll`] / [`Engine::Poll`] (the default where the
+//! * [`Engine::Epoll`] (the default where the
 //!   [reactor](crate::reactor)'s syscall shim exists): the accepter
 //!   hands the socket to a bounded pool of [`SvcConfig::workers`]
 //!   reactor workers, each multiplexing thousands of nonblocking
@@ -86,7 +86,7 @@ pub struct SvcConfig {
     /// thread forever. `None` (the default) waits indefinitely.
     pub read_timeout: Option<Duration>,
     /// Ceiling on concurrently served connections — the memory bound
-    /// for the reactor engines and the thread bound for the threads
+    /// for the reactor engine and the thread bound for the threads
     /// engine. A connection accepted at the ceiling is answered with a
     /// best-effort `ERR` naming the limit and closed immediately;
     /// refusals are counted in the `STATS` gauges.
@@ -95,8 +95,8 @@ pub struct SvcConfig {
     /// [`Engine::auto`]: `epoll` where the reactor's syscall shim
     /// exists, `threads` elsewhere.
     pub engine: Engine,
-    /// Reactor worker threads ([`Engine::Epoll`] / [`Engine::Poll`]
-    /// only; the threads engine ignores it). Defaults to available
+    /// Reactor worker threads ([`Engine::Epoll`] only; the threads
+    /// engine ignores it). Defaults to available
     /// parallelism capped at [`DEFAULT_MAX_WORKERS`].
     pub workers: usize,
     /// Flight-recorder mode (`--trace on|off|sampled:<n>`). `Off` (the
@@ -169,7 +169,7 @@ impl Server {
         // workers, so its per-connection events share the accept lane.
         let worker_lanes = match config.engine {
             Engine::Threads => 0,
-            _ => config.workers.max(1),
+            Engine::Epoll => config.workers.max(1),
         };
         let recorder = Arc::new(FlightRecorder::new(config.trace, worker_lanes));
         let metrics = Arc::new(SvcMetrics::new(worker_lanes));
@@ -194,12 +194,11 @@ impl Server {
             .collect::<io::Result<Vec<_>>>()?;
         let read_timeout = config.read_timeout;
         let max_conns = config.max_conns.max(1);
-        // Reactor engines get their worker pool up before the first
+        // The reactor engine gets its worker pool up before the first
         // accept; the threads engine spawns handlers on demand.
         let pool = match config.engine {
             Engine::Threads => None,
-            engine => Some(ReactorPool::spawn(
-                engine,
+            Engine::Epoll => Some(ReactorPool::spawn(
                 config.workers,
                 &namespace,
                 &gauges,
@@ -305,7 +304,7 @@ impl Server {
         self.recorder.dump_to_file(path)
     }
 
-    /// Stop accepting and join the accept threads. Under a reactor
+    /// Stop accepting and join the accept threads. Under the reactor
     /// engine the worker pool is joined too, closing every live
     /// connection; under the threads engine, established connections
     /// keep being served until their clients disconnect.
@@ -434,7 +433,7 @@ fn accept_loop(
     }
 }
 
-/// The reactor engines' accept loop: same socket, same admission
+/// The reactor engine's accept loop: same socket, same admission
 /// policy, but accepted connections go to a worker inbox instead of a
 /// fresh thread. The worker releases the `max_conns` claim on close.
 fn accept_loop_reactor(

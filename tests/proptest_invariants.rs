@@ -11,7 +11,6 @@
 use std::sync::Arc;
 
 use rtas::algorithms::{LogLogLe, LogStarLe, SpaceEfficientRatRace};
-use rtas::lowerbound::recurrence::{closed_form_f, f_sequence, next_f};
 use rtas::primitives::{RoleLeaderElect, Splitter, SplitterObject, TwoProcessLe};
 use rtas::sim::adversary::{ObliviousAdversary, RandomSchedule};
 use rtas::sim::executor::Execution;
@@ -20,6 +19,7 @@ use rtas::sim::protocol::{ret, Protocol};
 use rtas::sim::rng::SplitMix64;
 use rtas::sim::schedule::Schedule;
 use rtas::sim::word::ProcessId;
+use rtas_lowerbound::recurrence::{closed_form_f, f_sequence, next_f};
 
 /// Deterministic case generator: `count` draws from a per-test stream.
 fn cases(test_tag: u64, count: u64) -> impl Iterator<Item = SplitMix64> {

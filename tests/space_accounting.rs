@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use rtas::algorithms::{Combined, LogLogLe, LogStarLe, OriginalRatRace, SpaceEfficientRatRace};
-use rtas::lowerbound::recurrence::register_lower_bound;
 use rtas::sim::memory::Memory;
+use rtas_lowerbound::recurrence::register_lower_bound;
 
 #[test]
 fn space_efficient_structures_are_linear() {
