@@ -392,7 +392,8 @@ impl TestAndSet {
 ///   acknowledged the resolution (*acked*), and the reset must
 ///   happen-before the next epoch's first acquisition — typically
 ///   discharged with a release/acquire epoch counter, as in the
-///   `rtas-load` arena and the `rtas-svc` keyed namespaces.
+///   `rtas-load` driver's epoch turn and the `rtas-svc` keyed
+///   namespaces.
 pub trait Arbiter: Send + Sync {
     /// Take one participation slot of the current epoch; `true` iff
     /// this caller is the epoch's unique winner.
@@ -471,6 +472,14 @@ mod tests {
         Backend::RatRace,
         Backend::Combined,
     ];
+
+    #[test]
+    fn backend_labels_round_trip() {
+        for backend in BACKENDS {
+            assert_eq!(Backend::parse(backend.label()), Some(backend));
+        }
+        assert_eq!(Backend::parse("nope"), None);
+    }
 
     #[test]
     fn solo_elect_wins_every_backend() {

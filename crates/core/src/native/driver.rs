@@ -29,9 +29,9 @@ pub struct NativeMemory {
     ///
     /// `read` and `write` load it `Relaxed`. That is enough because the
     /// reset contract already orders it: a reset happens-before the next
-    /// epoch's first operation (the load arena, the `svc` namespace gate
-    /// and the benchmark's lockstep all publish it through a
-    /// release/acquire epoch counter), and no reset runs while an
+    /// epoch's first operation (the load driver's epoch turn, the `svc`
+    /// namespace gate and the benchmark's lockstep all publish it
+    /// through a release/acquire epoch counter), and no reset runs while an
     /// operation is in flight. So every operation of an epoch sees the
     /// same, latest value of this counter.
     epoch: AtomicU64,
@@ -133,7 +133,7 @@ impl NativeMemory {
     /// every protocol assumes only that all registers start at 0, so
     /// a block that reads all-zero is a pristine pre-first-op object and
     /// a fixed pool of objects can be recycled epoch after epoch instead
-    /// of reallocated per resolution (see `rtas_load::arena`).
+    /// of reallocated per resolution (see `rtas_load::driver`).
     ///
     /// The reset bumps the epoch counter, which retires every word's tag
     /// at once. When the tag wraps to 0, once every `1 << TAG_BITS`
@@ -143,8 +143,8 @@ impl NativeMemory {
     /// Takes `&self` (the registers are atomics), but the caller must
     /// guarantee *quiescence*: no `elect`/`test_and_set` call may be in
     /// flight on this memory, and the reset must happen-before the next
-    /// epoch's first operation (the load arena publishes it through a
-    /// release/acquire epoch counter). A reset that races a live
+    /// epoch's first operation (the load driver's epoch turn publishes
+    /// it through a release/acquire epoch counter). A reset that races a live
     /// operation is not memory-unsafe, only semantically meaningless.
     pub fn reset(&self) {
         let next = self.epoch.fetch_add(1, Ordering::SeqCst).wrapping_add(1);

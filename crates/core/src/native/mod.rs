@@ -22,7 +22,8 @@
 //! on the caller's stack that borrows its object, so an operation
 //! allocates nothing either — together the foundation of the `rtas-load`
 //! sharded arena, which resolves sustained traffic on a fixed pool of
-//! objects instead of constructing one per operation.
+//! objects instead of constructing one per operation, recycled by the
+//! load driver's epoch turn.
 
 mod driver;
 

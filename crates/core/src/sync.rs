@@ -1,7 +1,7 @@
 //! Small shared concurrency primitives used by the epoch-recycling
-//! layers (`rtas-load`'s arena, `rtas-svc`'s keyed namespaces): one
-//! definition each, so padding and backoff tuning cannot drift between
-//! the sites that copy-paste them.
+//! layers (`rtas-load`'s arena and epoch turn, `rtas-svc`'s keyed
+//! namespaces): one definition each, so padding and backoff tuning
+//! cannot drift between the sites that copy-paste them.
 
 /// Pad (and align) a value to two cache lines: 128 bytes covers the
 /// adjacent-line prefetcher on common x86 parts as well as 64-byte

@@ -61,9 +61,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use rtas_load::chaos::run_load_chaos_traced;
-use rtas_load::driver::{
-    backend_label, default_shards, parse_backend, run_load, LoadSpec, Mode, Slo, Warmup,
-};
+use rtas_load::driver::{default_shards, run_load, LoadSpec, Mode, Slo, Warmup};
 use rtas_load::remote::run_load_remote_traced;
 use rtas_svc::chaos::{ChaosSpec, FaultPlan};
 use rtas_svc::obs::FlightRecorder;
@@ -127,7 +125,7 @@ fn main() -> ExitCode {
                 if v == "remote" {
                     remote = true;
                 } else {
-                    backend = parse_backend(v).unwrap_or_else(|| {
+                    backend = rtas::Backend::parse(v).unwrap_or_else(|| {
                         eprintln!(
                             "error: unknown backend {v:?} \
                              (logstar|loglog|ratrace|combined|remote)"
@@ -301,11 +299,7 @@ fn main() -> ExitCode {
         pipeline,
         conns,
     };
-    let backend_name = if remote {
-        "remote"
-    } else {
-        backend_label(backend)
-    };
+    let backend_name = if remote { "remote" } else { backend.label() };
     println!(
         "rtas-load: backend={backend_name}{} mode={} threads={threads} shards={shards} \
          group={} seed={seed}{}{}{}{}",

@@ -2,15 +2,19 @@
 //! server: [`RemoteTarget`] semantics behind `rtas-svc`'s
 //! [`ChaosClient`] fault injection.
 //!
-//! [`ChaosTarget`] re-creates the remote target's client-side epoch
-//! protocol — `shards` keys named `load/s`, workers spinning on a
-//! local per-key epoch, the epoch's last finisher acking `RESET` —
-//! but every wire interaction passes through a [`ChaosClient`] whose
-//! faults come from one seeded [`FaultPlan`]: worker connection `c`
-//! replays fault stream `c`, and the `RESET` ack for `(shard, local
-//! epoch)` draws its byzantine faults as a *pure function* of those
-//! coordinates (never of which racing worker sends it), so the entire
-//! fault schedule is a function of `(seed, spec, workload)` alone.
+//! [`ChaosTarget`] binds the same `load/s` keys as the remote target
+//! and is transport only in the same way — `acquire` is a `TAS`,
+//! `recycle` (run by the driver's epoch turn on the epoch's last
+//! finisher) is the `RESET` ack — but every wire interaction passes
+//! through a [`ChaosClient`] whose faults come from one seeded
+//! [`FaultPlan`]: worker connection `c` replays fault stream `c`, and
+//! the `RESET` ack for `(shard, local epoch)` draws its byzantine
+//! faults as a *pure function* of those coordinates (never of which
+//! racing worker sends it), so the entire fault schedule is a function
+//! of `(seed, spec, workload)` alone. Local epochs are the turn's, and
+//! count from 0 in every run. They always advance, even when the plan
+//! skips the server ack, so workers never deadlock on a stranded
+//! server epoch.
 //!
 //! Under faults the *local* win accounting legitimately degrades — a
 //! skipped ack strands a server epoch whose later arrivals all lose,
@@ -26,26 +30,16 @@
 //! [`RemoteTarget`]: crate::remote::RemoteTarget
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rtas::sync::{Backoff, CachePadded};
 use rtas_svc::chaos::{ChaosClient, ChaosCounts, FaultPlan};
 use rtas_svc::obs::FlightRecorder;
 use rtas_svc::{Client, ClientConfig, ClientError, ClientTracer, Op};
 
 use crate::driver::{run_on_target, LoadOutcome, LoadSpec, LoadTarget, TargetKind};
 use crate::recorder::ErrorClasses;
-
-/// Client-side recycling state for one key (the remote target's
-/// header, replicated here — the local epoch *always* advances, even
-/// when the plan byzantinely skips the server ack, so workers never
-/// deadlock on a stranded server epoch).
-#[derive(Debug)]
-struct KeyState {
-    epoch: AtomicU64,
-    done: AtomicUsize,
-}
+use crate::remote::bind_keys;
 
 /// Per-shard safety ledger: the winning *server* epochs observed, with
 /// a fail-fast panic on any second winner for one epoch.
@@ -64,7 +58,6 @@ pub struct ChaosTarget {
     plan: FaultPlan,
     config: ClientConfig,
     keys: Vec<Vec<u8>>,
-    states: Vec<CachePadded<KeyState>>,
     ledgers: Vec<WinLedger>,
     /// Next worker connection id — handed out in `context()` call
     /// order. The driver creates the initial fleet's contexts
@@ -73,7 +66,6 @@ pub struct ChaosTarget {
     next_conn: AtomicU64,
     /// Fault/recovery counters folded in as worker contexts retire.
     counts: Arc<Mutex<ChaosCounts>>,
-    group: usize,
     registers: u64,
     /// Client-side flight recorder ([`ChaosTarget::with_recorder`]):
     /// when set, every worker's [`ChaosClient`] stamps its wire
@@ -85,47 +77,30 @@ pub struct ChaosTarget {
 
 impl ChaosTarget {
     /// Bind `shards` keys on the server at `addr` behind `plan`'s
-    /// faults. The reachability/reset probe runs on a *clean* client —
-    /// the fault schedule starts with worker connection 0.
+    /// faults. The key-binding probe it shares with
+    /// [`RemoteTarget::new`](crate::remote::RemoteTarget::new) runs on a
+    /// *clean* client — the fault schedule starts with worker
+    /// connection 0.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0` or `group == 0`.
+    /// Panics if `shards == 0`.
     pub fn new(
         addr: &str,
         shards: usize,
-        group: usize,
         plan: FaultPlan,
         config: ClientConfig,
     ) -> Result<ChaosTarget, ClientError> {
         assert!(shards >= 1, "chaos target needs at least one shard key");
-        assert!(group >= 1, "chaos target needs at least one participant");
-        let mut probe = Client::connect_with(addr, config.clone())?;
-        let keys: Vec<Vec<u8>> = (0..shards)
-            .map(|s| format!("load/{s}").into_bytes())
-            .collect();
-        for key in &keys {
-            probe.tas(key)?;
-            probe.reset(key)?;
-        }
-        let registers = probe.stats()?.registers;
+        let (keys, registers) = bind_keys(addr, config.clone(), shards)?;
         Ok(ChaosTarget {
             addr: addr.to_string(),
             plan,
             config,
-            states: (0..shards)
-                .map(|_| {
-                    CachePadded(KeyState {
-                        epoch: AtomicU64::new(0),
-                        done: AtomicUsize::new(0),
-                    })
-                })
-                .collect(),
             ledgers: (0..shards).map(|_| WinLedger::default()).collect(),
             next_conn: AtomicU64::new(0),
             counts: Arc::new(Mutex::new(ChaosCounts::default())),
             keys,
-            group,
             registers,
             recorder: None,
         })
@@ -195,21 +170,6 @@ impl Drop for ChaosCtx {
 impl LoadTarget for ChaosTarget {
     type Ctx = ChaosCtx;
 
-    fn shards(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn group(&self) -> usize {
-        self.group
-    }
-
-    fn base_epochs(&self) -> Vec<u64> {
-        self.states
-            .iter()
-            .map(|s| s.0.epoch.load(Ordering::Acquire))
-            .collect()
-    }
-
     fn context(&self) -> ChaosCtx {
         let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
         let mut client = ChaosClient::new(&self.addr, &self.plan, conn, self.config.clone());
@@ -222,25 +182,10 @@ impl LoadTarget for ChaosTarget {
         }
     }
 
-    fn resolve(&self, ctx: &mut ChaosCtx, shard: usize, epoch: u64) -> bool {
-        let state = &self.states[shard].0;
-        let mut backoff = Backoff::new();
-        loop {
-            let current = state.epoch.load(Ordering::Acquire);
-            if current == epoch {
-                break;
-            }
-            assert!(
-                current < epoch,
-                "epoch {epoch} already closed (key is at {current}): \
-                 a reused chaos target must offset by base_epochs"
-            );
-            backoff.snooze();
-        }
-        let key = &self.keys[shard];
+    fn acquire(&self, ctx: &mut ChaosCtx, shard: usize) -> bool {
         let verdict = ctx
             .client
-            .acquire(Op::Tas, key)
+            .acquire(Op::Tas, &self.keys[shard])
             .unwrap_or_else(|e| panic!("chaotic TAS on {} failed: {e}", self.addr));
         if verdict.won {
             // THE safety bar: at most one winner per key-epoch, on the
@@ -255,22 +200,20 @@ impl LoadTarget for ChaosTarget {
                 verdict.epoch
             );
         }
-        if state.done.fetch_add(1, Ordering::AcqRel) + 1 == self.group {
-            // Last finisher acks — subject to the plan's byzantine
-            // reset faults, drawn from the (shard, LOCAL epoch)
-            // coordinates so the draw is identical whichever worker
-            // lands here. A skipped ack strands the server epoch for
-            // the lease to reclaim; a duplicated ack is defused by the
-            // server's zero-admission guard. Either way the LOCAL
-            // epoch advances: liveness never hangs on the fault plan.
-            let faults = self.plan.reset_faults(shard as u64, epoch);
-            ctx.client
-                .ack_reset(key, faults)
-                .unwrap_or_else(|e| panic!("chaotic RESET on {} failed: {e}", self.addr));
-            state.done.store(0, Ordering::Relaxed);
-            state.epoch.fetch_add(1, Ordering::Release);
-        }
         verdict.won
+    }
+
+    fn recycle(&self, ctx: &mut ChaosCtx, shard: usize, epoch: u64) {
+        // The ack is subject to the plan's byzantine reset faults,
+        // drawn from the (shard, LOCAL epoch) coordinates so the draw
+        // is identical whichever worker finishes last. A skipped ack
+        // strands the server epoch for the lease to reclaim; a
+        // duplicated ack is defused by the server's zero-admission
+        // guard.
+        let faults = self.plan.reset_faults(shard as u64, epoch);
+        ctx.client
+            .ack_reset(&self.keys[shard], faults)
+            .unwrap_or_else(|e| panic!("chaotic RESET on {} failed: {e}", self.addr));
     }
 
     fn registers(&self) -> u64 {
@@ -296,7 +239,7 @@ pub struct ChaosOutcome {
 
 /// Run the specified workload against the server at `addr` with
 /// `plan`'s faults injected. The one-winner-per-key-epoch bar is
-/// enforced fail-fast inside [`ChaosTarget::resolve`]; the outcome's
+/// enforced fail-fast on every acquire; the outcome's
 /// recorder carries the error-class counts (timeouts, retries,
 /// reconnects, server reclaims).
 ///
@@ -342,7 +285,7 @@ pub fn run_load_chaos_traced(
          cannot replay a window of blind in-flight epochs"
     );
     let config = ClientConfig::default();
-    let mut target = ChaosTarget::new(addr, spec.shards, spec.group(), plan, config.clone())?;
+    let mut target = ChaosTarget::new(addr, spec.shards, plan, config.clone())?;
     if let Some(recorder) = recorder {
         target = target.with_recorder(recorder)?;
     }

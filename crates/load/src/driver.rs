@@ -1,8 +1,9 @@
 //! The workload driver: closed- and open-loop traffic on real threads.
 //!
 //! Two classical load-generation disciplines, both generic over a
-//! [`LoadTarget`] — the in-process [`TasArena`] or a remote `rtas-svc`
-//! server (see [`crate::remote`]):
+//! [`LoadTarget`] — the in-process [`TasArena`], a remote `rtas-svc`
+//! server (see [`crate::remote`]), or that server behind fault
+//! injection (see [`crate::chaos`]):
 //!
 //! * **Closed loop** — a fixed fleet of `threads` workers issues
 //!   operations back to back: each worker hammers its home shard
@@ -28,12 +29,23 @@
 //!   around to it — so queueing delay under overload is measured, not
 //!   hidden (no coordinated omission).
 //!
+//! **The epoch turn.** Both disciplines run every operation through one
+//! turn, built fresh for each run, that recycles each shard's one-shot
+//! object epoch by epoch. A participant of epoch `e` waits (acquire
+//! load, then [`Backoff`]) until the shard's epoch counter reads `e`,
+//! runs [`LoadTarget::acquire`], and counts itself finished (AcqRel).
+//! The **last finisher** calls [`LoadTarget::recycle`] — the arena's
+//! reset, a server's `RESET` ack — and opens epoch `e + 1` with a
+//! release store, so the recycle happens-before every next-epoch
+//! operation. Targets hold no epoch state of their own; epochs count
+//! from 0 in every run, so a reused target needs no offset.
+//!
 //! Both disciplines assign every epoch of every shard exactly `group =
-//! threads / shards` operations, which is what makes the epoch-recycling
-//! protocols deadlock-free: within any window of `threads` consecutive
-//! arrival indices, each worker appears exactly once and each shard
-//! exactly `group` times, so the workers march through epoch rounds
-//! together and every epoch's participants eventually show up.
+//! threads / shards` operations, which is what makes the turn
+//! deadlock-free: within any window of `threads` consecutive arrival
+//! indices, each worker appears exactly once and each shard exactly
+//! `group` times, so the workers march through epoch rounds together
+//! and every epoch's participants eventually show up.
 //!
 //! **Warmup.** [`Warmup::Ops`] (closed loop) runs a fixed count of
 //! unrecorded operations per worker, then releases the measured
@@ -48,10 +60,11 @@
 //!
 //! [`TasArena`]: crate::arena::TasArena
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use rtas::native::NativeRunner;
+use rtas::sync::{Backoff, CachePadded};
 use rtas::Backend;
 use rtas_bench::report::{BenchReport, BenchRow};
 
@@ -60,28 +73,20 @@ use crate::recorder::LoadRecorder;
 use crate::schedule::ArrivalSchedule;
 
 /// Anything the driver can aim traffic at: a sharded pool of
-/// epoch-recycled arbitration objects, resolved by `(shard, epoch)`
-/// coordinates.
+/// recyclable arbitration objects, reduced to its transport.
 ///
-/// Implementations: [`TasArena`] (in-process atomics) and
-/// [`crate::remote::RemoteTarget`] (an `rtas-svc` server over TCP).
-/// Workers are handed one [`LoadTarget::Ctx`] per *life* — a native
-/// runner handle for the arena, a connection for the remote target —
-/// so the per-operation path stays allocation- and connect-free.
+/// Implementations: [`TasArena`] (in-process atomics),
+/// [`crate::remote::RemoteTarget`] (an `rtas-svc` server over TCP) and
+/// [`crate::chaos::ChaosTarget`] (the same server behind seeded fault
+/// injection). A target keeps no epoch or finisher state: the driver's
+/// epoch turn (see the [module docs](self)) decides when a shard is
+/// acquired and which call recycles it. Workers are handed one
+/// [`LoadTarget::Ctx`] per *life* — a native runner handle for the
+/// arena, connections for the remote targets — so the per-operation
+/// path stays allocation- and connect-free.
 pub trait LoadTarget: Sync {
-    /// Per-worker-life state threaded through every resolve call.
+    /// Per-worker-life state threaded through every call.
     type Ctx: Send;
-
-    /// Number of shards traffic is striped over.
-    fn shards(&self) -> usize;
-
-    /// Participants per epoch on every shard.
-    fn group(&self) -> usize;
-
-    /// Each shard's currently open epoch — the offsets a driver must
-    /// add so a reused target continues instead of colliding with
-    /// completed epochs.
-    fn base_epochs(&self) -> Vec<u64>;
 
     /// Fresh per-life context (for remote targets this opens the
     /// connection). Called from the **main** thread for the initial
@@ -90,39 +95,67 @@ pub trait LoadTarget: Sync {
     /// threads for churn respawns.
     fn context(&self) -> Self::Ctx;
 
-    /// Perform one operation of `epoch` on `shard`; `true` iff this
-    /// call won its resolution.
-    fn resolve(&self, ctx: &mut Self::Ctx, shard: usize, epoch: u64) -> bool;
+    /// One participation in `shard`'s open epoch; `true` iff this call
+    /// won it.
+    fn acquire(&self, ctx: &mut Self::Ctx, shard: usize) -> bool;
+
+    /// Recycle `shard`'s object once `epoch` (the run's own epoch
+    /// index, counting from 0) has resolved. Called by the epoch's last
+    /// finisher on its own context, after every acquire of the epoch
+    /// has returned and before any acquire of the next.
+    fn recycle(&self, ctx: &mut Self::Ctx, shard: usize, epoch: u64);
 
     /// Registers backing the target's object pool (0 if unknown).
     fn registers(&self) -> u64;
 }
 
-impl LoadTarget for TasArena {
-    type Ctx = NativeRunner;
+/// One shard's turn state, padded so shards never false-share.
+#[derive(Debug, Default)]
+struct ShardTurn {
+    /// The open epoch: stored with `Release` by the finisher that
+    /// recycled the object, loaded with `Acquire` by entrants.
+    epoch: AtomicU64,
+    /// Calls of the open epoch that have returned (`0..=group`).
+    done: AtomicUsize,
+}
 
-    fn shards(&self) -> usize {
-        TasArena::shards(self)
+/// The static-group epoch turn: built fresh for every run, so each
+/// shard's epochs count from 0 whatever the target served before.
+#[derive(Debug)]
+struct EpochTurn {
+    shards: Vec<CachePadded<ShardTurn>>,
+    group: usize,
+}
+
+impl EpochTurn {
+    fn new(shards: usize, group: usize) -> Self {
+        EpochTurn {
+            shards: (0..shards).map(|_| CachePadded::default()).collect(),
+            group,
+        }
     }
 
-    fn group(&self) -> usize {
-        TasArena::group(self)
-    }
-
-    fn base_epochs(&self) -> Vec<u64> {
-        (0..TasArena::shards(self)).map(|s| self.epoch(s)).collect()
-    }
-
-    fn context(&self) -> NativeRunner {
-        NativeRunner::new()
-    }
-
-    fn resolve(&self, ctx: &mut NativeRunner, shard: usize, epoch: u64) -> bool {
-        TasArena::resolve(self, shard, epoch, ctx)
-    }
-
-    fn registers(&self) -> u64 {
-        TasArena::registers(self)
+    /// One operation of `epoch` on `shard`: wait for the epoch to open,
+    /// acquire, and — as the epoch's last finisher — recycle the object
+    /// and open the next epoch. Returns whether the acquire won.
+    fn take<T: LoadTarget>(&self, target: &T, ctx: &mut T::Ctx, shard: usize, epoch: u64) -> bool {
+        let turn = &self.shards[shard].0;
+        // Spin briefly, then yield: workloads with more workers than
+        // cores must not livelock the finisher out of its recycle.
+        let mut backoff = Backoff::new();
+        while turn.epoch.load(Ordering::Acquire) != epoch {
+            backoff.snooze();
+        }
+        let won = target.acquire(ctx, shard);
+        if turn.done.fetch_add(1, Ordering::AcqRel) + 1 == self.group {
+            // Every call of this epoch has returned: the object is
+            // quiescent. Recycle it and publish the reset to the next
+            // epoch's participants.
+            target.recycle(ctx, shard, epoch);
+            turn.done.store(0, Ordering::Relaxed);
+            turn.epoch.store(epoch + 1, Ordering::Release);
+        }
+        won
     }
 }
 
@@ -371,7 +404,7 @@ impl LoadOutcome {
     /// own algorithm).
     pub fn backend_name(&self) -> &'static str {
         match self.target {
-            TargetKind::Native => backend_label(self.spec.backend),
+            TargetKind::Native => self.spec.backend.label(),
             TargetKind::Remote | TargetKind::C10k => "remote",
             TargetKind::Chaos => "chaos",
         }
@@ -503,13 +536,6 @@ impl Slo {
     }
 }
 
-/// The report label for a backend, stable across PRs (used as a
-/// `BENCH_*.json` row label and a CLI flag value) — [`Backend::label`],
-/// re-exported under the harness's historical name.
-pub fn backend_label(backend: Backend) -> &'static str {
-    backend.label()
-}
-
 /// The default shard count for a worker fleet: the largest divisor of
 /// `threads` no bigger than half of it (groups of ≥ 2 where possible),
 /// falling back to 1 — so the result always satisfies
@@ -519,12 +545,6 @@ pub fn default_shards(threads: usize) -> usize {
         .rev()
         .find(|s| threads % s == 0)
         .unwrap_or(1)
-}
-
-/// Parse a [`backend_label`] back into a [`Backend`]
-/// ([`Backend::parse`] under the harness's historical name).
-pub fn parse_backend(label: &str) -> Option<Backend> {
-    Backend::parse(label)
 }
 
 /// Run the specified workload on a fresh arena.
@@ -564,6 +584,7 @@ pub(crate) fn run_on_target<T: LoadTarget>(
     kind: TargetKind,
 ) -> LoadOutcome {
     let registers = target.registers();
+    let turn = EpochTurn::new(spec.shards, spec.group());
     let (recorder, warmup, wall) = match spec.mode {
         Mode::Closed { total_ops } => {
             let ops_per_worker = total_ops / spec.threads as u64;
@@ -573,6 +594,7 @@ pub(crate) fn run_on_target<T: LoadTarget>(
             };
             run_closed(
                 target,
+                &turn,
                 spec.threads,
                 ops_per_worker,
                 warmup_per_worker,
@@ -589,7 +611,7 @@ pub(crate) fn run_on_target<T: LoadTarget>(
                 Warmup::Secs(secs) => (secs * 1e9) as u64,
                 _ => 0,
             };
-            run_open(target, spec.threads, &schedule, warmup_cutoff_ns)
+            run_open(target, &turn, spec.threads, &schedule, warmup_cutoff_ns)
         }
     };
     LoadOutcome {
@@ -625,7 +647,7 @@ impl WarmupTally {
 }
 
 /// Arrive at a barrier exactly once, **even when unwinding**: a worker
-/// that panics before its rendezvous (a warmup-epoch assertion, say)
+/// that panics before its rendezvous (a transport failure in warmup, say)
 /// must release the barrier on the way out rather than strand the main
 /// thread in `wait()` forever — the panic then surfaces through the
 /// ordinary `join` path.
@@ -658,13 +680,13 @@ impl Drop for Rendezvous<'_> {
 
 fn run_closed<T: LoadTarget>(
     target: &T,
+    turn: &EpochTurn,
     threads: usize,
     ops_per_worker: u64,
     warmup_per_worker: u64,
     churn: Option<u64>,
 ) -> (LoadRecorder, WarmupTally, Duration) {
-    let shards = target.shards();
-    let bases = target.base_epochs();
+    let shards = turn.shards.len();
     // Initial-fleet contexts are created HERE, before any thread or
     // barrier exists: a remote target's connect failure aborts the run
     // with a clean panic instead of stranding a half-spawned fleet.
@@ -677,20 +699,17 @@ fn run_closed<T: LoadTarget>(
             .into_iter()
             .enumerate()
             .map(|(slot, ctx)| {
-                let bases = &bases;
                 let barrier = &barrier;
                 s.spawn(move || {
                     let mut ctx = ctx;
                     let mut rendezvous = Rendezvous::new(barrier);
                     let shard = slot % shards;
-                    let warm_base = bases[shard];
                     let mut recorder = LoadRecorder::new(shards);
                     let mut warmup = WarmupTally::default();
                     for j in 0..warmup_per_worker {
-                        warmup.record(target.resolve(&mut ctx, shard, warm_base + j));
+                        warmup.record(turn.take(target, &mut ctx, shard, j));
                     }
                     rendezvous.arrive();
-                    let base = warm_base + warmup_per_worker;
                     let mut next_op = 0u64;
                     while next_op < ops_per_worker {
                         // One worker *life*: without churn, all remaining
@@ -702,7 +721,7 @@ fn run_closed<T: LoadTarget>(
                         let run_life = |recorder: &mut LoadRecorder, ctx: &mut T::Ctx| {
                             for j in next_op..next_op + len {
                                 let t0 = Instant::now();
-                                let won = target.resolve(ctx, shard, base + j);
+                                let won = turn.take(target, ctx, shard, warmup_per_worker + j);
                                 recorder.record(shard, t0.elapsed().as_secs_f64() * 1e6, won);
                             }
                         };
@@ -741,13 +760,13 @@ fn run_closed<T: LoadTarget>(
 
 fn run_open<T: LoadTarget>(
     target: &T,
+    turn: &EpochTurn,
     threads: usize,
     schedule: &ArrivalSchedule,
     warmup_cutoff_ns: u64,
 ) -> (LoadRecorder, WarmupTally, Duration) {
-    let shards = target.shards();
-    let group = target.group() as u64;
-    let bases = target.base_epochs();
+    let shards = turn.shards.len();
+    let group = turn.group as u64;
     // Epoch-aligned warmup cut: shard `s`'s epoch `e` spans arrival
     // indices `s + shards·(e·group ..= e·group + group − 1)`; the epoch
     // is warmup iff its FIRST arrival is scheduled before the cutoff.
@@ -774,7 +793,6 @@ fn run_open<T: LoadTarget>(
             .into_iter()
             .enumerate()
             .map(|(worker, ctx)| {
-                let bases = &bases;
                 let warm_epochs = &warm_epochs;
                 s.spawn(move || {
                     let mut ctx = ctx;
@@ -783,8 +801,7 @@ fn run_open<T: LoadTarget>(
                     let mut i = worker;
                     while i < schedule.len() {
                         let shard = i % shards;
-                        let epoch_seq = (i / shards) as u64 / group;
-                        let epoch = bases[shard] + epoch_seq;
+                        let epoch = (i / shards) as u64 / group;
                         let due = begin + Duration::from_nanos(schedule.start_ns(i));
                         // Offered load: wait for the scheduled instant
                         // (sleep coarsely, spin the last stretch), but never
@@ -802,8 +819,8 @@ fn run_open<T: LoadTarget>(
                                 std::hint::spin_loop();
                             }
                         }
-                        let won = target.resolve(&mut ctx, shard, epoch);
-                        if epoch_seq < warm_epochs[shard] {
+                        let won = turn.take(target, &mut ctx, shard, epoch);
+                        if epoch < warm_epochs[shard] {
                             warmup.record(won);
                         } else {
                             // Latency from the *scheduled* instant: queueing
@@ -833,7 +850,102 @@ fn run_open<T: LoadTarget>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
+
+    /// A fake target that logs every call, per shard: `None` for an
+    /// acquire, `Some(epoch)` for a recycle. The first acquire after a
+    /// recycle (or the run's start) wins.
+    struct Recording {
+        logs: Vec<Mutex<Vec<Option<u64>>>>,
+    }
+
+    impl Recording {
+        fn new(shards: usize) -> Self {
+            Recording {
+                logs: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            }
+        }
+
+        /// Each shard's log must read `group` acquires then the
+        /// recycle of epoch 0, `group` acquires then the recycle of
+        /// epoch 1, and so on: one recycle per epoch, in epoch order,
+        /// after all of its acquires and before any of the next.
+        fn assert_turn_order(&self, out: &LoadOutcome) {
+            let group = out.spec.group();
+            let mut epochs = 0;
+            for (shard, log) in self.logs.iter().enumerate() {
+                let log = log.lock().unwrap();
+                let expected: Vec<Option<u64>> = (0..(log.len() / (group + 1)) as u64)
+                    .flat_map(|e| std::iter::repeat_n(None, group).chain([Some(e)]))
+                    .collect();
+                assert_eq!(*log, expected, "shard {shard}");
+                epochs += expected.len() / (group + 1);
+            }
+            assert_eq!(epochs as u64, out.resolutions());
+            assert_eq!(out.total_wins() + out.warmup_wins, out.resolutions());
+        }
+    }
+
+    impl LoadTarget for Recording {
+        type Ctx = ();
+
+        fn context(&self) {}
+
+        fn acquire(&self, _: &mut (), shard: usize) -> bool {
+            let mut log = self.logs[shard].lock().unwrap();
+            let won = log.last().is_none_or(Option::is_some);
+            log.push(None);
+            won
+        }
+
+        fn recycle(&self, _: &mut (), shard: usize, epoch: u64) {
+            self.logs[shard].lock().unwrap().push(Some(epoch));
+        }
+
+        fn registers(&self) -> u64 {
+            0
+        }
+    }
+
+    fn run_recorded(spec: LoadSpec) {
+        spec.validate();
+        let target = Recording::new(spec.shards);
+        let out = run_on_target(&target, spec, TargetKind::Native);
+        assert!(out.resolutions() > 0);
+        target.assert_turn_order(&out);
+    }
+
+    #[test]
+    fn closed_loop_turn_recycles_once_per_epoch_in_order() {
+        let mut spec = closed_spec(4, 2, 240);
+        spec.churn = Some(7);
+        spec.warmup = Warmup::Ops(40);
+        run_recorded(spec);
+    }
+
+    #[test]
+    fn open_loop_turn_recycles_once_per_epoch_in_order() {
+        run_recorded(LoadSpec {
+            mode: Mode::Open {
+                rate: 40_000.0,
+                duration_secs: 0.02,
+            },
+            warmup: Warmup::Secs(0.005),
+            ..closed_spec(4, 2, 0)
+        });
+    }
+
+    #[test]
+    fn contended_shard_has_exactly_one_winner_per_epoch() {
+        // One shard, every worker in its group: the maximal-contention
+        // resolution, recycled by the turn 50 times.
+        let arena = TasArena::new(Backend::Combined, 1, 4);
+        let out = run_load_on(&arena, closed_spec(4, 1, 200));
+        assert_eq!(out.resolutions(), 50);
+        assert_eq!(out.total_wins(), 50, "exactly one winner per epoch");
+    }
 
     fn closed_spec(threads: usize, shards: usize, total_ops: u64) -> LoadSpec {
         LoadSpec {
@@ -1161,18 +1273,5 @@ mod tests {
         assert_eq!(default_shards(5), 1, "prime: solo shard");
         assert_eq!(default_shards(12), 6);
         assert_eq!(default_shards(0), 1);
-    }
-
-    #[test]
-    fn backend_labels_round_trip() {
-        for backend in [
-            Backend::LogStar,
-            Backend::LogLog,
-            Backend::RatRace,
-            Backend::Combined,
-        ] {
-            assert_eq!(parse_backend(backend_label(backend)), Some(backend));
-        }
-        assert_eq!(parse_backend("nope"), None);
     }
 }

@@ -5,7 +5,7 @@
 //! latency on real hardware. It sits between the verified protocols
 //! (`rtas`) and the "serve heavy traffic" goal, and is the platform
 //! future scaling work (batching, NUMA pinning, multi-backend routing)
-//! plugs into. Four pieces:
+//! plugs into. Its pieces:
 //!
 //! * [`arena`] — a sharded pool of recyclable native TAS objects:
 //!   allocation-free [`reset`](rtas::TestAndSet::reset) by epoch instead
@@ -17,13 +17,16 @@
 //!   (offered-load, coordinated-omission-free latency) workload
 //!   execution on real threads, with worker churn mapping the scenario
 //!   engine's retirement/respawn axis onto OS threads, plus latency
-//!   [`Slo`] checks.
+//!   [`Slo`] checks. The driver owns the one epoch turn every target
+//!   is recycled through: participants wait for their epoch, the last
+//!   finisher recycles the object and opens the next; a
+//!   [`LoadTarget`] supplies only the acquire and the recycle.
 //! * [`recorder`] — per-shard latency/throughput accumulation through
 //!   `rtas_bench`'s mergeable [`StatsAccumulator`], folded across
 //!   workers order-independently.
 //! * [`remote`] — the same drivers aimed at an `rtas-svc` arbitration
 //!   server over TCP (`--backend remote --addr host:port`): shard `s`
-//!   becomes the key `load/s`, epochs recycle through the wire
+//!   becomes the key `load/s`, the turn's recycle is the wire
 //!   protocol's `RESET` ack, and the run reports as
 //!   `BENCH_svc_load.json`.
 //! * [`chaos`] — the remote driver behind `rtas-svc`'s deterministic

@@ -1,25 +1,25 @@
 //! The remote backend: fire the same deterministic workloads at an
 //! `rtas-svc` arbitration server over TCP.
 //!
-//! [`RemoteTarget`] maps the driver's `(shard, epoch)` coordinates onto
-//! the service's keyed namespaces: shard `s` is the key `load/s`, and
-//! the arena's release/acquire epoch protocol is re-created
-//! client-side — workers spin on a local per-key epoch counter, issue
-//! `TAS` over their own connection, and the epoch's **last finisher**
-//! sends the `RESET` ack and opens the next epoch with a release store.
-//! The server independently enforces the same invariant (its own
-//! epoch gate admits and recycles), so exactly one winner per
-//! key-epoch holds end to end, asserted by the driver's win accounting.
+//! [`RemoteTarget`] maps the driver's shards onto the service's keyed
+//! namespaces: shard `s` is the key `load/s`. The target is transport
+//! only: [`LoadTarget::acquire`] is one `TAS` over the worker's own
+//! connection, and [`LoadTarget::recycle`] — run by the driver's epoch
+//! turn on the epoch's **last finisher** — is the `RESET` ack. The
+//! server independently enforces the same invariant (its own epoch
+//! gate admits and recycles), so exactly one winner per key-epoch holds
+//! end to end, asserted by the driver's win accounting.
 //!
 //! ## Pipelining
 //!
 //! At [`LoadSpec::pipeline`] depth `d > 1` a worker keeps up to `d`
-//! epochs in flight on its connection: each resolve ships the epoch's
+//! epochs in flight on its connection: each acquire ships the epoch's
 //! `TAS` **and** its `RESET` ack as one two-frame batch (a single
 //! `write` syscall — the server answers frames in order, so the ack is
-//! sound the moment the verdict is), advances the local epoch
-//! immediately, and only blocks to drain the *oldest* in-flight epoch's
-//! two responses once the window is full. Depth `d > 1` requires
+//! sound the moment the verdict is), returns at once — `recycle` is
+//! then a no-op, the ack already went out — and only blocks to drain
+//! the *oldest* in-flight epoch's two responses once the window is
+//! full. Depth `d > 1` requires
 //! `threads == shards` (each worker the sole participant of its shard
 //! key — enforced by [`LoadSpec::validate`]): a sole participant's
 //! verdict is always a win and never depends on a peer's reply, so
@@ -63,35 +63,41 @@
 //! [`LoadSpec::validate`]: crate::driver::LoadSpec
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rtas::sync::{Backoff, CachePadded};
 use rtas_svc::obs::FlightRecorder;
-use rtas_svc::{Client, ClientError, ClientTracer, Op, Response};
+use rtas_svc::{Client, ClientConfig, ClientError, ClientTracer, Op, Response};
 
 use crate::driver::{run_on_target, LoadOutcome, LoadSpec, LoadTarget, TargetKind};
 
-/// Client-side recycling state for one key, mirroring the arena's
-/// shard header.
-#[derive(Debug)]
-struct KeyState {
-    /// Open epoch: bumped with `Release` by the last finisher after the
-    /// `RESET` ack; read with `Acquire` by entrants.
-    epoch: AtomicU64,
-    /// Completed calls within the open epoch (`0..=group`).
-    done: AtomicUsize,
+/// Bind `shards` keys named `load/0..load/shards-1` on the server at
+/// `addr` and read its register count — the probe the remote and chaos
+/// targets share (see [`RemoteTarget::new`]).
+pub(crate) fn bind_keys(
+    addr: &str,
+    config: ClientConfig,
+    shards: usize,
+) -> Result<(Vec<Vec<u8>>, u64), ClientError> {
+    let mut probe = Client::connect_with(addr, config)?;
+    let keys: Vec<Vec<u8>> = (0..shards)
+        .map(|s| format!("load/{s}").into_bytes())
+        .collect();
+    for key in &keys {
+        probe.tas(key)?;
+        probe.reset(key)?;
+    }
+    let registers = probe.stats()?.registers;
+    Ok((keys, registers))
 }
 
 /// An `rtas-svc` server as a [`LoadTarget`]: `shards` keys named
-/// `load/0..load/shards-1`, each epoch-recycled through the wire
-/// protocol's `RESET` ack.
+/// `load/0..load/shards-1`, each recycled through the wire protocol's
+/// `RESET` ack.
 #[derive(Debug)]
 pub struct RemoteTarget {
     addr: String,
     keys: Vec<Vec<u8>>,
-    states: Vec<CachePadded<KeyState>>,
-    group: usize,
     pipeline: usize,
     /// Connections each worker holds open and round-robins across
     /// (the C10K fan-out; 1 is the classic one-connection worker).
@@ -121,8 +127,9 @@ pub struct RemoteTarget {
 #[derive(Debug)]
 pub struct RemoteCtx {
     clients: Vec<Client>,
-    /// Next client in the round-robin.
-    next: usize,
+    /// The client the current resolution runs on: each acquire advances
+    /// the round-robin, and the epoch's recycle reuses its connection.
+    at: usize,
     inflight: VecDeque<usize>,
     /// Span minting + `ClientSpan` recording for this worker's traffic
     /// (lockstep path only; `None` when the target has no recorder).
@@ -130,6 +137,24 @@ pub struct RemoteCtx {
 }
 
 impl RemoteCtx {
+    /// One lockstep round trip on the current client. With a live
+    /// tracer the frame carries a fresh span and the send → decoded
+    /// time is recorded as a `ClientSpan`; otherwise the span is 0,
+    /// which frames exactly like an untraced request.
+    fn round_trip(&mut self, op: Op, key: &[u8]) -> Result<Response, ClientError> {
+        let (span, t0) = match self.tracer.as_mut().filter(|t| t.enabled()) {
+            Some(tracer) => (tracer.mint(), tracer.now_ns()),
+            None => (0, 0),
+        };
+        let client = &mut self.clients[self.at];
+        client.send_span(op, span, key)?;
+        let response = client.recv()?;
+        if let Some(tracer) = self.tracer.as_ref().filter(|_| span != 0) {
+            tracer.record(op, span, tracer.now_ns().saturating_sub(t0));
+        }
+        Ok(response)
+    }
+
     /// Block for the oldest in-flight epoch's two responses and check
     /// them: the deferred verdict must be a win (the worker is its
     /// shard's sole participant) and the ack must be a reset ack.
@@ -179,37 +204,36 @@ impl Drop for RemoteCtx {
 }
 
 impl RemoteTarget {
-    /// Bind `shards` keys on the server at `addr`, each resolved by
-    /// `group` participants per epoch, in lockstep (pipeline depth 1).
+    /// Bind `shards` keys on the server at `addr`, driven in lockstep
+    /// (pipeline depth 1).
     ///
     /// Connects once to probe reachability and to put every key into a
     /// known-fresh epoch (`TAS` to materialize it, `RESET` to recycle —
     /// a crashed previous run cannot leave a half-resolved epoch
-    /// behind). The probe's win/loss is deliberately *not* part of the
-    /// run's accounting: local epochs start at 0 regardless of the
-    /// server's epoch numbering, which only ever appears in responses.
+    /// behind), then reads the server's register count. The probe's
+    /// win/loss is deliberately *not* part of the run's accounting.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0` or `group == 0`.
-    pub fn new(addr: &str, shards: usize, group: usize) -> Result<RemoteTarget, ClientError> {
-        Self::with_pipeline(addr, shards, group, 1)
+    /// Panics if `shards == 0`.
+    pub fn new(addr: &str, shards: usize) -> Result<RemoteTarget, ClientError> {
+        Self::with_pipeline(addr, shards, 1)
     }
 
     /// [`RemoteTarget::new`] with an explicit pipeline depth (see the
-    /// [module docs](self)).
+    /// [module docs](self)). A depth above 1 is only sound when every
+    /// worker is its shard's sole participant, which
+    /// [`run_load_remote`] checks against the spec.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`, `group == 0`, `pipeline == 0`, or
-    /// `pipeline > 1 && group > 1`.
+    /// Panics if `shards == 0` or `pipeline == 0`.
     pub fn with_pipeline(
         addr: &str,
         shards: usize,
-        group: usize,
         pipeline: usize,
     ) -> Result<RemoteTarget, ClientError> {
-        Self::with_shape(addr, shards, group, pipeline, 1)
+        Self::with_shape(addr, shards, pipeline, 1)
     }
 
     /// [`RemoteTarget::new`] with an explicit per-worker connection
@@ -225,17 +249,11 @@ impl RemoteTarget {
     pub fn with_shape(
         addr: &str,
         shards: usize,
-        group: usize,
         pipeline: usize,
         conns_per_worker: usize,
     ) -> Result<RemoteTarget, ClientError> {
         assert!(shards >= 1, "remote target needs at least one shard key");
-        assert!(group >= 1, "remote target needs at least one participant");
         assert!(pipeline >= 1, "pipeline depth must be at least 1");
-        assert!(
-            pipeline == 1 || group == 1,
-            "pipeline depth {pipeline} requires a group of 1 (got {group})"
-        );
         assert!(
             conns_per_worker >= 1,
             "each worker needs at least one connection"
@@ -244,27 +262,10 @@ impl RemoteTarget {
             conns_per_worker == 1 || pipeline == 1,
             "a connection fan-out requires pipeline depth 1 (got {pipeline})"
         );
-        let mut probe = Client::connect(addr)?;
-        let keys: Vec<Vec<u8>> = (0..shards)
-            .map(|s| format!("load/{s}").into_bytes())
-            .collect();
-        for key in &keys {
-            probe.tas(key)?;
-            probe.reset(key)?;
-        }
-        let registers = probe.stats()?.registers;
+        let (keys, registers) = bind_keys(addr, ClientConfig::default(), shards)?;
         Ok(RemoteTarget {
             addr: addr.to_string(),
-            states: (0..shards)
-                .map(|_| {
-                    CachePadded(KeyState {
-                        epoch: AtomicU64::new(0),
-                        done: AtomicUsize::new(0),
-                    })
-                })
-                .collect(),
             keys,
-            group,
             pipeline,
             conns_per_worker,
             registers,
@@ -326,21 +327,6 @@ impl RemoteTarget {
 impl LoadTarget for RemoteTarget {
     type Ctx = RemoteCtx;
 
-    fn shards(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn group(&self) -> usize {
-        self.group
-    }
-
-    fn base_epochs(&self) -> Vec<u64> {
-        self.states
-            .iter()
-            .map(|s| s.0.epoch.load(Ordering::Acquire))
-            .collect()
-    }
-
     fn context(&self) -> RemoteCtx {
         let clients = (0..self.conns_per_worker)
             .map(|_| {
@@ -351,7 +337,7 @@ impl LoadTarget for RemoteTarget {
         let ctx = self.next_ctx.fetch_add(1, Ordering::Relaxed);
         RemoteCtx {
             clients,
-            next: 0,
+            at: 0,
             inflight: VecDeque::with_capacity(self.pipeline),
             tracer: self
                 .recorder
@@ -360,108 +346,47 @@ impl LoadTarget for RemoteTarget {
         }
     }
 
-    fn resolve(&self, ctx: &mut RemoteCtx, shard: usize, epoch: u64) -> bool {
-        let state = &self.states[shard].0;
-        // Wait for our epoch — same spin-then-yield discipline as the
-        // in-process arena. (At pipeline depths above 1 the worker is
-        // the shard's sole participant and opened the epoch itself, so
-        // this check passes immediately.)
-        let mut backoff = Backoff::new();
-        loop {
-            let current = state.epoch.load(Ordering::Acquire);
-            if current == epoch {
-                break;
-            }
-            assert!(
-                current < epoch,
-                "epoch {epoch} already closed (key is at {current}): \
-                 a reused remote target must offset by base_epochs"
-            );
-            backoff.snooze();
-        }
+    fn acquire(&self, ctx: &mut RemoteCtx, shard: usize) -> bool {
         let key = &self.keys[shard];
         // Round-robin the fan-out: each resolution (TAS and, for the
         // last finisher, its RESET) runs on one connection, and every
         // connection takes its turn so all of them stay live.
-        let at = ctx.next;
-        ctx.next = (ctx.next + 1) % ctx.clients.len();
+        ctx.at = (ctx.at + 1) % ctx.clients.len();
         if self.pipeline > 1 {
             // Sole participant: ship the epoch's TAS and its RESET ack
-            // as one two-frame batch (one write syscall), open the next
-            // local epoch immediately, and only block once the window
-            // holds `pipeline` undrained epochs. The deferred verdict
-            // is checked in drain_one — a loss panics, so returning
-            // `true` here cannot corrupt the win accounting silently.
-            ctx.clients[at]
+            // as one two-frame batch (one write syscall) and only block
+            // once the window holds `pipeline` undrained epochs. The
+            // deferred verdict is checked in drain_one — a loss panics,
+            // so returning `true` here cannot corrupt the win
+            // accounting silently.
+            ctx.clients[ctx.at]
                 .send_batch(&[(Op::Tas, key), (Op::Reset, key)])
                 .unwrap_or_else(|e| panic!("pipelined batch on {} failed: {e}", self.addr));
             ctx.inflight.push_back(shard);
-            state.epoch.fetch_add(1, Ordering::Release);
             if ctx.inflight.len() >= self.pipeline {
                 ctx.drain_one();
             }
             return true;
         }
-        let won = match ctx.tracer.as_mut().filter(|t| t.enabled()) {
-            Some(tracer) => {
-                // Traced lockstep round trip: a fresh span on the wire,
-                // timed send → decoded verdict, recorded as ClientSpan.
-                let span = tracer.mint();
-                let t0 = tracer.now_ns();
-                let client = &mut ctx.clients[at];
-                client
-                    .send_span(Op::Tas, span, key)
-                    .unwrap_or_else(|e| panic!("TAS on {} failed: {e}", self.addr));
-                let won = match client.recv() {
-                    Ok(Response::Acquired(a)) => a.won,
-                    Ok(other) => panic!(
-                        "traced TAS on {}: expected a verdict, got {other:?}",
-                        self.addr
-                    ),
-                    Err(e) => panic!("TAS on {} failed: {e}", self.addr),
-                };
-                tracer.record(Op::Tas, span, tracer.now_ns().saturating_sub(t0));
-                won
-            }
-            None => {
-                ctx.clients[at]
-                    .tas(key)
-                    .unwrap_or_else(|e| panic!("TAS on {} failed: {e}", self.addr))
-                    .won
-            }
-        };
-        if state.done.fetch_add(1, Ordering::AcqRel) + 1 == self.group {
-            // Last finisher: every call of this epoch has its response,
-            // so the server-side gate is quiescent the moment our RESET
-            // is admitted. Ack it, then open the next local epoch.
-            match ctx.tracer.as_mut().filter(|t| t.enabled()) {
-                Some(tracer) => {
-                    let span = tracer.mint();
-                    let t0 = tracer.now_ns();
-                    let client = &mut ctx.clients[at];
-                    client
-                        .send_span(Op::Reset, span, key)
-                        .unwrap_or_else(|e| panic!("RESET on {} failed: {e}", self.addr));
-                    match client.recv() {
-                        Ok(Response::Reset { .. }) => {}
-                        Ok(other) => panic!(
-                            "traced RESET on {}: expected an ack, got {other:?}",
-                            self.addr
-                        ),
-                        Err(e) => panic!("RESET on {} failed: {e}", self.addr),
-                    }
-                    tracer.record(Op::Reset, span, tracer.now_ns().saturating_sub(t0));
-                }
-                None => {
-                    ctx.clients[at]
-                        .reset(key)
-                        .unwrap_or_else(|e| panic!("RESET on {} failed: {e}", self.addr));
-                }
-            }
-            state.done.store(0, Ordering::Relaxed);
-            state.epoch.fetch_add(1, Ordering::Release);
+        match ctx.round_trip(Op::Tas, key) {
+            Ok(Response::Acquired(a)) => a.won,
+            Ok(other) => panic!("TAS on {}: expected a verdict, got {other:?}", self.addr),
+            Err(e) => panic!("TAS on {} failed: {e}", self.addr),
         }
-        won
+    }
+
+    fn recycle(&self, ctx: &mut RemoteCtx, shard: usize, _epoch: u64) {
+        if self.pipeline > 1 {
+            // The acquire's batch already carried this epoch's ack.
+            return;
+        }
+        // Every call of the epoch has its response, so the server-side
+        // gate is quiescent the moment this RESET is admitted.
+        match ctx.round_trip(Op::Reset, &self.keys[shard]) {
+            Ok(Response::Reset { .. }) => {}
+            Ok(other) => panic!("RESET on {}: expected an ack, got {other:?}", self.addr),
+            Err(e) => panic!("RESET on {} failed: {e}", self.addr),
+        }
     }
 
     fn registers(&self) -> u64 {
@@ -509,13 +434,7 @@ pub fn run_load_remote_traced(
 ) -> Result<LoadOutcome, ClientError> {
     spec.validate();
     let conns_per_worker = spec.conns.map_or(1, |c| c / spec.threads);
-    let mut target = RemoteTarget::with_shape(
-        addr,
-        spec.shards,
-        spec.group(),
-        spec.pipeline,
-        conns_per_worker,
-    )?;
+    let mut target = RemoteTarget::with_shape(addr, spec.shards, spec.pipeline, conns_per_worker)?;
     if let Some(recorder) = recorder {
         target = target.with_recorder(recorder)?;
     }

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rtas::native::{NativeMemory, NativeRunner};
 use rtas::sim::memory::Memory;
 use rtas::{Backend, TestAndSet};
-use rtas_load::TasArena;
+use rtas_load::{LoadTarget, TasArena};
 
 struct CountingAlloc;
 
@@ -74,16 +74,20 @@ fn reset_and_steady_state_ops_are_allocation_free() {
 
     // --- Steady-state arena ops: nothing at all. ---
     // Group of one so the whole loop stays on this thread (spawning
-    // workers would allocate and pollute the counters).
+    // workers would allocate and pollute the counters). Each epoch is
+    // the arena's side of the driver's turn, an acquire then the last
+    // finisher's recycle; the turn itself adds only atomics.
     let arena = TasArena::new(Backend::LogStar, 1, 1);
     let mut runner = NativeRunner::new();
     for epoch in 0..20 {
-        assert!(arena.resolve(0, epoch, &mut runner), "warmup epoch {epoch}");
+        assert!(arena.acquire(&mut runner, 0), "warmup epoch {epoch}");
+        arena.recycle(&mut runner, 0, epoch);
     }
     let epochs = 100u64;
     let before = allocations();
     for epoch in 20..20 + epochs {
-        assert!(arena.resolve(0, epoch, &mut runner));
+        assert!(arena.acquire(&mut runner, 0));
+        arena.recycle(&mut runner, 0, epoch);
     }
     let steady = allocations() - before;
     assert_eq!(

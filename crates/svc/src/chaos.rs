@@ -549,29 +549,7 @@ impl ChaosClient {
             // that IS a retry after a transport fault, count it as one.
             self.counts.retries += 1;
         }
-        let mut attempt = 0;
-        let verdict = loop {
-            let result = self.try_once(op, key, &faults);
-            match result {
-                Ok(v) => break v,
-                Err(err @ ClientError::Io(_)) | Err(err @ ClientError::Protocol(_)) => {
-                    // Transport death or a desynchronized stream: the
-                    // connection is untrustworthy. Redial and retry —
-                    // idempotent at epoch granularity (a replayed op
-                    // rejoins the key's open epoch; a duplicated loss
-                    // is just another loss).
-                    self.classify(&err);
-                    self.client = None;
-                    attempt += 1;
-                    if attempt >= self.retry.attempts {
-                        return Err(err);
-                    }
-                    self.counts.retries += 1;
-                    std::thread::sleep(self.retry.backoff(attempt - 1, &mut self.jitter));
-                }
-                Err(other) => return Err(other),
-            }
-        };
+        let verdict = self.retrying(|c| c.try_once(op, key, &faults))?;
         if faults.drop_after {
             self.sever();
         }
@@ -642,16 +620,29 @@ impl ChaosClient {
             return Ok(None);
         }
         let sends = if faults.duplicate { 2 } else { 1 };
+        let epoch = self.retrying(|c| c.reset_once(key, sends))?;
+        if faults.duplicate {
+            self.counts.dup_resets += 1;
+        }
+        Ok(Some(epoch))
+    }
+
+    /// Run `once` until it succeeds. Transport death or a
+    /// desynchronized stream makes the connection untrustworthy: drop
+    /// it, back off on the jitter stream, and retry on a fresh dial —
+    /// idempotent at epoch granularity (a replayed op rejoins the key's
+    /// open epoch, a duplicated loss is just another loss, a replayed
+    /// ack is defused by the zero-admission guard). Any other error, or
+    /// retry exhaustion, is returned.
+    fn retrying<T>(
+        &mut self,
+        mut once: impl FnMut(&mut Self) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
         let mut attempt = 0;
         loop {
-            match self.reset_once(key, sends) {
-                Ok(epoch) => {
-                    if faults.duplicate {
-                        self.counts.dup_resets += 1;
-                    }
-                    return Ok(Some(epoch));
-                }
-                Err(err @ ClientError::Io(_)) | Err(err @ ClientError::Protocol(_)) => {
+            match once(self) {
+                Ok(value) => return Ok(value),
+                Err(err @ (ClientError::Io(_) | ClientError::Protocol(_))) => {
                     self.classify(&err);
                     self.client = None;
                     attempt += 1;

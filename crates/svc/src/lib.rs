@@ -14,7 +14,7 @@
 //! * [`namespace`] — sharded keyed state: keys hash to independently
 //!   locked shards, every key recycles through epochs with a
 //!   CAS-admission / release-publish gate that generalizes the
-//!   `rtas-load` arena's protocol to dynamic membership with an
+//!   `rtas-load` driver's epoch turn to dynamic membership with an
 //!   explicit ack (`RESET`), allocation-free in steady state;
 //! * [`conn`] — the per-connection protocol state machine (bytes in →
 //!   response bytes out, zero I/O inside): an incremental frame

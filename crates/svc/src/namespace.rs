@@ -8,8 +8,9 @@
 //! false-shares a header.
 //!
 //! Each key advances through **epochs**, generalizing the `rtas-load`
-//! arena's release/acquire recycling to *dynamic* membership with an
-//! explicit ack:
+//! driver's static-group epoch turn (release/acquire recycling for a
+//! fixed participant group) to *dynamic* membership with an explicit
+//! ack:
 //!
 //! * an operation is **admitted** into the key's open epoch by a CAS on
 //!   a packed state word (`resetting bit | epoch | entered count`) —

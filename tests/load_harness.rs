@@ -5,7 +5,7 @@
 use rtas::native::NativeRunner;
 use rtas::Backend;
 use rtas_load::driver::{run_load, LoadSpec, Mode, Slo};
-use rtas_load::{ArrivalSchedule, TasArena};
+use rtas_load::{ArrivalSchedule, LoadTarget, TasArena};
 
 #[test]
 fn arena_reuse_over_100_epochs_under_contention() {
@@ -175,8 +175,9 @@ fn slo_checks_read_the_overall_distribution() {
 
 #[test]
 fn arena_epochs_continue_across_driver_runs() {
-    // A reused arena (the bench path) continues epoch numbering instead
-    // of colliding with completed epochs.
+    // A reused arena (the bench path) keeps resolving run after run:
+    // every epoch recycles its object, so each run's own epochs start
+    // from a fresh object and complete in full.
     let arena = std::sync::Arc::new(TasArena::new(Backend::LogStar, 2, 2));
     let spec = LoadSpec {
         backend: Backend::LogStar,
@@ -190,20 +191,20 @@ fn arena_epochs_continue_across_driver_runs() {
         conns: None,
     };
     let first = rtas_load::run_load_on(&arena, spec);
-    assert_eq!(arena.epochs_completed(0), 20);
+    assert_eq!(first.resolutions(), 40, "20 epochs per shard");
     let second = rtas_load::run_load_on(&arena, spec);
-    assert_eq!(arena.epochs_completed(0), 40);
+    assert_eq!(second.resolutions(), 40, "20 more epochs per shard");
     assert_eq!(first.total_wins() + second.total_wins(), 80);
 }
 
 #[test]
 fn solo_arena_resolve_is_reusable_from_a_bare_runner() {
     // Smallest possible harness: one shard, group of one, driven
-    // directly without the driver.
+    // directly through the target's transport without the driver.
     let arena = TasArena::new(Backend::Combined, 1, 1);
     let mut runner = NativeRunner::new();
     for epoch in 0..150 {
-        assert!(arena.resolve(0, epoch, &mut runner));
+        assert!(arena.acquire(&mut runner, 0), "epoch {epoch} won");
+        arena.recycle(&mut runner, 0, epoch);
     }
-    assert_eq!(arena.wins(0), 150);
 }

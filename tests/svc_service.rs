@@ -117,12 +117,19 @@ fn remote_target_reuse_continues_epochs_and_survives_stale_keys() {
 fn remote_target_exposes_driver_coordinates() {
     let srv = server::spawn_local(rtas::Backend::Combined, 2, 4).expect("bind loopback");
     let addr = srv.addr().to_string();
-    let target = RemoteTarget::new(&addr, 3, 4).expect("probe");
-    assert_eq!(target.shards(), 3);
-    assert_eq!(target.group(), 4);
+    let target = RemoteTarget::new(&addr, 3).expect("probe");
     assert_eq!(target.addr(), addr);
-    assert_eq!(target.base_epochs(), vec![0, 0, 0]);
     assert!(target.registers() > 0);
+    // The binding probe bound all three keys and left each in a fresh
+    // epoch: the first acquire wins, a second loses, and the recycle
+    // reopens the key.
+    let mut ctx = target.context();
+    for shard in 0..3 {
+        assert!(target.acquire(&mut ctx, shard), "shard {shard} fresh");
+        assert!(!target.acquire(&mut ctx, shard), "shard {shard} taken");
+        target.recycle(&mut ctx, shard, 0);
+        assert!(target.acquire(&mut ctx, shard), "shard {shard} reopened");
+    }
     srv.shutdown();
 }
 
@@ -148,5 +155,28 @@ fn remote_warmup_is_driven_but_unrecorded() {
     assert_eq!(out.warmup_ops, 40);
     assert_eq!(out.resolutions(), 120);
     assert_eq!(out.total_wins() + out.warmup_wins, out.resolutions());
+    srv.shutdown();
+}
+
+#[test]
+fn remote_churn_respawns_contexts_at_every_pipeline_depth() {
+    // Churn gives every worker life a fresh context — fresh connections
+    // and, pipelined, a fresh window that the retiring life drains.
+    // Lockstep peers (groups of 2) and pipelined sole participants
+    // (group 1, depth 4) must both keep one winner per key-epoch.
+    let srv = server::spawn_local(rtas::Backend::Combined, 2, 2).expect("bind loopback");
+    let addr = srv.addr().to_string();
+    for (threads, shards, pipeline) in [(4, 2, 1), (2, 2, 4)] {
+        let mut s = spec(threads, shards, Mode::Closed { total_ops: 400 });
+        s.churn = Some(30);
+        s.pipeline = pipeline;
+        let out = run_load_remote(&addr, s).expect("remote run");
+        assert_eq!(out.total_ops(), 400, "pipeline {pipeline}");
+        assert_eq!(
+            out.total_wins(),
+            out.resolutions(),
+            "pipeline {pipeline}: one winner per key-epoch"
+        );
+    }
     srv.shutdown();
 }
