@@ -23,9 +23,13 @@
 //! Implementation note: one process's [`CombinedFrame`] holds both
 //! sides' frames by value, each with the operation it is poised on, and
 //! interleaves the two operation streams one shared-memory operation at a
-//! time, exactly as the paper's round-robin demands. The weak side's type
-//! is the caller's choice (`Combined<W>`), so the default pairing with
-//! [`LogStarLe`] runs without boxing or dynamic dispatch.
+//! time, exactly as the paper's round-robin demands. Each resume feeds
+//! the completed operation's result to the side that issued it and
+//! resumes only that side; the other side stays poised on its pending
+//! operation, untouched. The first resume starts both, RatRace first.
+//! The weak side's type is the caller's choice (`Combined<W>`), so the
+//! default pairing with [`LogStarLe`] runs without boxing or dynamic
+//! dispatch.
 
 use std::sync::Arc;
 
@@ -91,7 +95,7 @@ impl<W: Elect> Elect for Combined<W> {
         CombinedFrame {
             rr: Side::new(self.ratrace.frame()),
             weak: Side::new(self.weak.frame()),
-            pending: None,
+            in_flight: None,
             next_turn: Turn::RatRace,
             top: None,
         }
@@ -104,56 +108,33 @@ enum Turn {
     Weak,
 }
 
-/// One side of the interleaving: its frame, the operation it is poised on
-/// or the result it finished with, and a stopped flag.
+/// One side of the interleaving: its frame and the operation it is poised
+/// on (`None` before its first resume and once it finished).
 #[derive(Debug, Clone)]
 struct Side<F> {
     frame: F,
-    /// The input of the side's next resume, once its last operation ran.
-    input: Option<Resume>,
-    pending: Option<MemOp>,
-    finished: Option<Word>,
-    stopped: bool,
+    poised: Option<MemOp>,
 }
 
 impl<F: Frame> Side<F> {
     fn new(frame: F) -> Self {
         Side {
             frame,
-            input: Some(Resume::Start),
-            pending: None,
-            finished: None,
-            stopped: false,
+            poised: None,
         }
     }
 
-    /// Whether this side can still take a step.
-    fn live(&self) -> bool {
-        !self.stopped && self.finished.is_none()
-    }
-
-    /// Deliver the result of the operation this side was poised on.
-    fn feed(&mut self, input: Resume) {
-        debug_assert!(self.pending.is_some(), "feed without a pending op");
-        debug_assert!(!matches!(input, Resume::Start), "unexpected {input:?}");
-        self.pending = None;
-        self.input = Some(input);
-    }
-
-    /// Resume a live side that is not poised yet until it is poised again
-    /// or finished; `Some(result)` if it finished in this call.
-    fn poise(&mut self, object: &F::Object, ctx: &mut Ctx<'_>) -> Option<Word> {
-        if !self.live() || self.pending.is_some() {
-            return None;
-        }
-        let input = self.input.take().expect("side resumed without input");
+    /// Resume the side with `input` until it is poised on its next
+    /// operation (`None`) or finished (`Some(result)`).
+    #[inline]
+    fn resume(&mut self, object: &F::Object, input: Resume, ctx: &mut Ctx<'_>) -> Option<Word> {
         match self.frame.resume(object, input, ctx) {
             Poll::Op(op) => {
-                self.pending = Some(op);
+                self.poised = Some(op);
                 None
             }
             Poll::Done(v) => {
-                self.finished = Some(v);
+                self.poised = None;
                 Some(v)
             }
         }
@@ -164,8 +145,9 @@ impl<F: Frame> Side<F> {
 pub struct CombinedFrame<W: Elect> {
     rr: Side<RatRaceFrame>,
     weak: Side<W::Frame>,
-    /// The side the operation in flight was issued for.
-    pending: Option<Turn>,
+    /// The side whose operation is in flight; `None` before the first
+    /// resume.
+    in_flight: Option<Turn>,
     next_turn: Turn,
     /// `LEtop`, once a rule sent this process there.
     top: Option<TwoProcessFrame>,
@@ -174,65 +156,57 @@ pub struct CombinedFrame<W: Elect> {
 impl<W: Elect> std::fmt::Debug for CombinedFrame<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CombinedFrame")
-            .field("pending", &self.pending)
+            .field("in_flight", &self.in_flight)
             .field("next_turn", &self.next_turn)
             .field("top", &self.top)
             .finish()
     }
 }
 
-/// What the rule engine decided after a side produced a result.
+/// What the rules decide when a side finishes.
 enum RuleOutcome {
     /// Keep interleaving (or continuing one side).
     Continue,
-    /// Enter `LEtop` with this role.
+    /// Stop the other side and enter `LEtop` with this role.
     Top(usize),
-    /// The combined election is lost.
+    /// Stop the other side; the combined election is lost.
     Lose,
 }
 
-impl<W: Elect> CombinedFrame<W> {
-    /// Apply rules 1–3 for a side that just finished with `value`.
-    fn on_side_finished(&mut self, side: Turn, value: Word, won_splitter: bool) -> RuleOutcome {
-        match (side, value) {
-            (Turn::RatRace, v) if v == ret::WIN => {
-                // Rule 1: stop A, go for LEtop as the RatRace winner.
-                self.weak.stopped = true;
-                RuleOutcome::Top(0)
-            }
-            (Turn::RatRace, _) => {
-                // Rule 2: losing RatRace loses everything.
-                self.weak.stopped = true;
-                RuleOutcome::Lose
-            }
-            (Turn::Weak, v) if v == ret::WIN => {
-                // Rule 1: stop RatRace, go for LEtop as the A winner.
-                self.rr.stopped = true;
-                RuleOutcome::Top(1)
-            }
-            (Turn::Weak, _) => {
-                if won_splitter {
-                    // Rule 3 (exception): already holds a RatRace
-                    // splitter — continue RatRace alone.
-                    RuleOutcome::Continue
-                } else {
-                    // Rule 3: stop RatRace and lose.
-                    self.rr.stopped = true;
-                    RuleOutcome::Lose
-                }
-            }
-        }
+/// Rules 1–3 for `side` finishing with `value`.
+#[inline]
+fn rule(side: Turn, value: Word, won_splitter: bool) -> RuleOutcome {
+    match (side, value == ret::WIN) {
+        // Rule 1: go for LEtop as the RatRace winner (role 0) or the A
+        // winner (role 1).
+        (Turn::RatRace, true) => RuleOutcome::Top(0),
+        (Turn::Weak, true) => RuleOutcome::Top(1),
+        // Rule 2: losing RatRace loses everything.
+        (Turn::RatRace, false) => RuleOutcome::Lose,
+        // Rule 3 (exception): already holds a RatRace splitter —
+        // abandon A and continue RatRace alone.
+        (Turn::Weak, false) if won_splitter => RuleOutcome::Continue,
+        // Rule 3: losing A loses.
+        (Turn::Weak, false) => RuleOutcome::Lose,
     }
+}
 
-    /// Apply the rules to a side's result; `Some(poll)` ends this resume.
-    fn settle(
+impl<W: Elect> CombinedFrame<W> {
+    /// Resume `side` with `input`, applying the rules if it finishes;
+    /// `Some(poll)` ends this resume.
+    #[inline]
+    fn step(
         &mut self,
         side: Turn,
-        value: Word,
+        input: Resume,
         c: &Combined<W>,
         ctx: &mut Ctx<'_>,
     ) -> Option<Poll> {
-        match self.on_side_finished(side, value, ctx.notes.won_splitter) {
+        let value = match side {
+            Turn::RatRace => self.rr.resume(&c.ratrace, input, ctx),
+            Turn::Weak => self.weak.resume(&c.weak, input, ctx),
+        }?;
+        match rule(side, value, ctx.notes.won_splitter) {
             RuleOutcome::Continue => None,
             RuleOutcome::Lose => Some(Poll::Done(ret::LOSE)),
             RuleOutcome::Top(role) => {
@@ -246,60 +220,49 @@ impl<W: Elect> CombinedFrame<W> {
 impl<W: Elect> Frame for CombinedFrame<W> {
     type Object = Combined<W>;
 
+    #[inline]
     fn resume(&mut self, c: &Combined<W>, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         if let Some(top) = &mut self.top {
             return top.resume(&c.letop, input, ctx);
         }
-        // Deliver the result of the op we issued on behalf of a side.
-        match self.pending.take() {
-            Some(Turn::RatRace) => self.rr.feed(input),
-            Some(Turn::Weak) => self.weak.feed(input),
-            None => debug_assert!(matches!(input, Resume::Start)),
+        // Only the side whose operation just ran has anything to resume
+        // with; the other stays poised. On the first resume both start,
+        // RatRace first.
+        let stepped = match self.in_flight {
+            Some(side) => self.step(side, input, c, ctx),
+            None => {
+                debug_assert!(matches!(input, Resume::Start), "unexpected {input:?}");
+                self.step(Turn::RatRace, Resume::Start, c, ctx)
+                    .or_else(|| self.step(Turn::Weak, Resume::Start, c, ctx))
+            }
+        };
+        if let Some(poll) = stepped {
+            return poll;
         }
-        loop {
-            // Advance any live side that is not poised yet, applying the
-            // combination rules as sides finish.
-            if let Some(v) = self.rr.poise(&c.ratrace, ctx) {
-                if let Some(poll) = self.settle(Turn::RatRace, v, c, ctx) {
-                    return poll;
+        // Issue the next operation, alternating while both sides are live.
+        let (turn, op) = match (self.rr.poised, self.weak.poised) {
+            (Some(rr), Some(weak)) => {
+                let turn = self.next_turn;
+                self.next_turn = match turn {
+                    Turn::RatRace => Turn::Weak,
+                    Turn::Weak => Turn::RatRace,
+                };
+                match turn {
+                    Turn::RatRace => (turn, rr),
+                    Turn::Weak => (turn, weak),
                 }
             }
-            if let Some(v) = self.weak.poise(&c.weak, ctx) {
-                if let Some(poll) = self.settle(Turn::Weak, v, c, ctx) {
-                    return poll;
-                }
+            (Some(rr), None) => (Turn::RatRace, rr),
+            (None, Some(weak)) => (Turn::Weak, weak),
+            (None, None) => {
+                // Every finish that leaves no side live ends the election
+                // through a rule, so this is unreachable; be safe and lose.
+                debug_assert!(false, "combined: both sides dead without outcome");
+                return Poll::Done(ret::LOSE);
             }
-            // Pick the next side to step, alternating when both are live.
-            let turn = match (self.rr.live(), self.weak.live()) {
-                (true, true) => {
-                    let t = self.next_turn;
-                    self.next_turn = match t {
-                        Turn::RatRace => Turn::Weak,
-                        Turn::Weak => Turn::RatRace,
-                    };
-                    t
-                }
-                (true, false) => Turn::RatRace,
-                (false, true) => Turn::Weak,
-                (false, false) => {
-                    // Both sides stopped without triggering a rule — only
-                    // possible if a side finished while stopped, which the
-                    // rules exclude; be safe and lose.
-                    debug_assert!(false, "combined: both sides dead without outcome");
-                    return Poll::Done(ret::LOSE);
-                }
-            };
-            let pending = match turn {
-                Turn::RatRace => self.rr.pending,
-                Turn::Weak => self.weak.pending,
-            };
-            if let Some(op) = pending {
-                self.pending = Some(turn);
-                return Poll::Op(op);
-            }
-            // Side had no pending op (it just finished or advanced);
-            // loop to re-apply rules / re-pick.
-        }
+        };
+        self.in_flight = Some(turn);
+        Poll::Op(op)
     }
 }
 

@@ -119,6 +119,7 @@ impl Default for Step {
 impl Frame for PathFrame {
     type Object = EliminationPath;
 
+    #[inline]
     fn resume(&mut self, path: &EliminationPath, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         loop {
             let node = &path.nodes[self.node];

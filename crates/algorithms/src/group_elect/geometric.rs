@@ -117,6 +117,7 @@ pub struct GeometricFrame {
 impl Frame for GeometricFrame {
     type Object = GeometricGroupElect;
 
+    #[inline]
     fn resume(&mut self, ge: &GeometricGroupElect, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         match self.state {
             State::Start => {

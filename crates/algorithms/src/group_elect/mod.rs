@@ -108,6 +108,7 @@ pub enum GroupElectFrame {
 impl Frame for GroupElectFrame {
     type Object = GroupElection;
 
+    #[inline]
     fn resume(&mut self, ge: &GroupElection, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         match (self, ge) {
             (GroupElectFrame::Geometric(f), GroupElection::Geometric(ge)) => {

@@ -81,6 +81,7 @@ pub struct SiftingFrame {
 impl Frame for SiftingFrame {
     type Object = SiftingGroupElect;
 
+    #[inline]
     fn resume(&mut self, ge: &SiftingGroupElect, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         match self.state {
             State::Start => {

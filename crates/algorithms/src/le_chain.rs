@@ -183,6 +183,7 @@ enum Step {
 impl Frame for ChainFrame {
     type Object = LeChain;
 
+    #[inline]
     fn resume(&mut self, chain: &LeChain, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         loop {
             let level = &chain.levels[self.level];

@@ -237,6 +237,7 @@ enum Step {
 impl Frame for LogLogFrame {
     type Object = LogLogLe;
 
+    #[inline]
     fn resume(&mut self, le: &LogLogLe, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         loop {
             match &mut self.step {

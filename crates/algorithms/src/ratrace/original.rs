@@ -169,6 +169,7 @@ enum Step {
 impl Frame for OriginalFrame {
     type Object = OriginalRatRace;
 
+    #[inline]
     fn resume(&mut self, rr: &OriginalRatRace, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         let s = &*rr.s;
         loop {

@@ -168,6 +168,7 @@ enum Step {
 impl Frame for RatRaceFrame {
     type Object = SpaceEfficientRatRace;
 
+    #[inline]
     fn resume(&mut self, rr: &SpaceEfficientRatRace, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         let s = &*rr.s;
         loop {

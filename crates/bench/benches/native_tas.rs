@@ -8,10 +8,15 @@
 //! only — not the construction of a fresh `TestAndSet` per iteration
 //! (which used to dominate and made the old numbers constructor
 //! benchmarks in disguise).
+//!
+//! The solo rows time the other half of the ladder's native-resolve rung:
+//! one thread, one object, `test_and_set_with` then `reset`, so each row
+//! is the uncontended cost of a resolution plus its O(1) recycle.
 
 use std::sync::Arc;
 
-use rtas::Backend;
+use rtas::native::NativeRunner;
+use rtas::{Backend, TestAndSet};
 use rtas_bench::microbench::Micro;
 use rtas_load::driver::{run_load_on, LoadSpec, Mode, Warmup};
 use rtas_load::TasArena;
@@ -52,8 +57,36 @@ fn bench_backend(micro: &Micro, backend: Backend, threads: usize) {
     );
 }
 
+/// Solo test-and-set + reset pairs per timed sample.
+const SOLO_OPS_PER_SAMPLE: u64 = 10_000;
+
+fn bench_solo(micro: &Micro, backend: Backend, capacity: usize) {
+    let tas = TestAndSet::with_backend(backend, capacity);
+    let mut runner = NativeRunner::new();
+    micro.bench(
+        &format!("{backend:?}/solo/cap{capacity} x{SOLO_OPS_PER_SAMPLE}op"),
+        |_| {
+            for _ in 0..SOLO_OPS_PER_SAMPLE {
+                assert!(!tas.test_and_set_with(&mut runner), "a solo caller wins");
+                tas.reset();
+            }
+        },
+    );
+}
+
 fn main() {
     let micro = Micro::from_env();
+    micro.group("native-tas solo (per-sample: 10000 test_and_set_with + reset, one thread)");
+    for capacity in [2usize, 64] {
+        for backend in [
+            Backend::LogStar,
+            Backend::LogLog,
+            Backend::RatRace,
+            Backend::Combined,
+        ] {
+            bench_solo(&micro, backend, capacity);
+        }
+    }
     micro.group("native-tas (per-sample: 200 arena resolutions, objects recycled not rebuilt)");
     for threads in [2usize, 4, 8] {
         for backend in [Backend::LogStar, Backend::RatRace, Backend::Combined] {

@@ -27,13 +27,15 @@ pub struct NativeMemory {
     /// Number of resets since construction; its low [`TAG_BITS`] bits
     /// are the tag every current-epoch word carries.
     ///
-    /// `read` and `write` load it `Relaxed`. That is enough because the
-    /// reset contract already orders it: a reset happens-before the next
+    /// `read` and `write` load it `Relaxed`, and [`NativeRunner::run`]
+    /// loads it once per operation. That is enough because the reset
+    /// contract already orders it: a reset happens-before the next
     /// epoch's first operation (the load driver's epoch turn, the `svc`
     /// namespace gate and the benchmark's lockstep all publish it
     /// through a release/acquire epoch counter), and no reset runs while an
     /// operation is in flight. So every operation of an epoch sees the
-    /// same, latest value of this counter.
+    /// same, latest value of this counter, from its first step to its
+    /// last.
     epoch: AtomicU64,
 }
 
@@ -101,12 +103,7 @@ impl NativeMemory {
     /// in the current epoch reads as 0.
     #[inline]
     pub fn read(&self, id: RegId) -> Word {
-        let word = self.reg(id).load(Ordering::SeqCst);
-        if word & !VALUE_MASK == tag_bits(self.epoch()) {
-            word & VALUE_MASK
-        } else {
-            0
-        }
+        self.read_tagged(id, tag_bits(self.epoch()))
     }
 
     /// Atomic write (sequentially consistent), tagged with the current
@@ -118,12 +115,29 @@ impl NativeMemory {
     /// would spill into the tag and read back as 0.
     #[inline]
     pub fn write(&self, id: RegId, value: Word) {
+        self.write_tagged(id, value, tag_bits(self.epoch()))
+    }
+
+    /// [`NativeMemory::read`] in the epoch whose in-place tag is `tag`.
+    #[inline]
+    fn read_tagged(&self, id: RegId, tag: Word) -> Word {
+        // The tag bits cancel only on a word of this epoch.
+        let word = self.reg(id).load(Ordering::SeqCst) ^ tag;
+        if word <= VALUE_MASK {
+            word
+        } else {
+            0
+        }
+    }
+
+    /// [`NativeMemory::write`] in the epoch whose in-place tag is `tag`.
+    #[inline]
+    fn write_tagged(&self, id: RegId, value: Word, tag: Word) {
         assert!(
             value <= VALUE_MASK,
             "native register value {value} does not fit in {VALUE_BITS} bits"
         );
-        self.reg(id)
-            .store(tag_bits(self.epoch()) | value, Ordering::SeqCst)
+        self.reg(id).store(tag | value, Ordering::SeqCst)
     }
 
     /// Return every register to 0 — the object's initial state — in O(1)
@@ -160,10 +174,11 @@ impl NativeMemory {
 ///
 /// [`NativeRunner::run`] drives the protocol it is given in place, on the
 /// calling thread's stack: each `Poll::Op` becomes one sequentially
-/// consistent load or store, and nothing is allocated along the way. A
-/// runner holds no state, so building one is free; operations take it by
-/// `&mut` so a worker thread can thread one handle through all of its
-/// calls.
+/// consistent load or store, and nothing is allocated along the way. The
+/// memory's epoch tag is loaded once per operation, under the reset
+/// contract of [`NativeMemory::reset`]. A runner holds no state, so
+/// building one is free; operations take it by `&mut` so a worker thread
+/// can thread one handle through all of its calls.
 #[derive(Debug, Default)]
 pub struct NativeRunner {
     _private: (),
@@ -183,6 +198,9 @@ impl NativeRunner {
     ///
     /// Pass a [`rtas_sim::protocol::Bound`] frame borrowing its object to
     /// run without allocating; a boxed protocol works too.
+    ///
+    /// `memory` must not be reset while the operation runs (see
+    /// [`NativeMemory::reset`]); debug builds panic if it was.
     pub fn run<P: Protocol>(
         &mut self,
         mut protocol: P,
@@ -197,13 +215,24 @@ impl NativeRunner {
             rng: &mut rng,
             notes: &mut notes,
         };
+        // The reset contract keeps the epoch fixed for the whole
+        // operation, so its tag is loaded once here, not once per step.
+        let epoch = memory.epoch();
+        let tag = tag_bits(epoch);
         let mut input = Resume::Start;
         loop {
             input = match protocol.resume(input, &mut ctx) {
-                Poll::Done(v) => return v,
-                Poll::Op(MemOp::Read(r)) => Resume::Read(memory.read(r)),
+                Poll::Done(v) => {
+                    debug_assert_eq!(
+                        memory.epoch(),
+                        epoch,
+                        "the memory was reset while an operation was in flight"
+                    );
+                    return v;
+                }
+                Poll::Op(MemOp::Read(r)) => Resume::Read(memory.read_tagged(r, tag)),
                 Poll::Op(MemOp::Write(r, v)) => {
-                    memory.write(r, v);
+                    memory.write_tagged(r, v, tag);
                     Resume::Wrote
                 }
             };
@@ -226,6 +255,7 @@ pub fn run_protocol<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtas_sim::memory::RegRange;
 
     struct WriteThenRead {
         reg: RegId,
@@ -320,6 +350,110 @@ mod tests {
         let reg = layout.alloc(1, "t").get(0);
         let shared = NativeMemory::from_layout(&layout);
         shared.write(reg, 1 << VALUE_BITS);
+    }
+
+    /// Sums every register it reads, then writes `i + 1` to register `i`;
+    /// returns the sum.
+    struct SumThenFill {
+        regs: RegRange,
+        next: u64,
+        sum: Word,
+    }
+
+    impl SumThenFill {
+        fn new(regs: RegRange) -> Self {
+            SumThenFill {
+                regs,
+                next: 0,
+                sum: 0,
+            }
+        }
+    }
+
+    impl Protocol for SumThenFill {
+        fn resume(&mut self, input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
+            let len = self.regs.len();
+            if let Resume::Read(v) = input {
+                self.sum += v;
+            }
+            let i = self.next;
+            self.next += 1;
+            if i < len {
+                Poll::Op(MemOp::Read(self.regs.get(i)))
+            } else if i < 2 * len {
+                Poll::Op(MemOp::Write(self.regs.get(i - len), i - len + 1))
+            } else {
+                Poll::Done(self.sum)
+            }
+        }
+    }
+
+    #[test]
+    fn runner_tag_survives_the_wrap() {
+        let mut layout = Memory::new();
+        let regs = layout.alloc(4, "t");
+        let shared = NativeMemory::from_layout(&layout);
+        let fresh = NativeMemory::from_layout(&layout);
+        let mut runner = NativeRunner::new();
+        let mut run =
+            |regs, memory: &NativeMemory| runner.run(SumThenFill::new(regs), memory, 0, 1);
+        // Epoch 0 leaves words in all four registers whose tag comes back
+        // at epoch 2^16; the last epoch before the wrap rewrites only two.
+        assert_eq!(run(regs, &shared), 0);
+        for _ in 1..(1u64 << TAG_BITS) {
+            shared.reset();
+        }
+        assert_eq!(shared.epoch(), (1 << TAG_BITS) - 1);
+        let half = regs.sub(0, 2);
+        assert_eq!(run(half, &shared), 0, "a new epoch starts at 0");
+        assert_eq!(run(half, &shared), 1 + 2, "an op reads its epoch's words");
+        shared.reset();
+        assert_eq!(shared.epoch(), 1 << TAG_BITS);
+        let expected = run(regs, &fresh);
+        assert_eq!(expected, 0);
+        assert_eq!(
+            run(regs, &shared),
+            expected,
+            "after the wrap an op reads only zeros"
+        );
+        assert_eq!(run(regs, &shared), run(regs, &fresh));
+        for reg in regs.iter() {
+            assert_eq!(shared.read(reg), fresh.read(reg));
+        }
+    }
+
+    /// Breaks the reset contract: resets its own memory mid-operation.
+    struct ResetMidOp<'a> {
+        memory: &'a NativeMemory,
+        reg: RegId,
+        wrote: bool,
+    }
+
+    impl Protocol for ResetMidOp<'_> {
+        fn resume(&mut self, _input: Resume, _ctx: &mut Ctx<'_>) -> Poll {
+            if self.wrote {
+                self.memory.reset();
+                return Poll::Done(0);
+            }
+            self.wrote = true;
+            Poll::Op(MemOp::Write(self.reg, 1))
+        }
+    }
+
+    #[test]
+    fn a_reset_racing_a_live_op_panics_in_debug_builds() {
+        let mut layout = Memory::new();
+        let reg = layout.alloc(1, "t").get(0);
+        let shared = NativeMemory::from_layout(&layout);
+        let racing = ResetMidOp {
+            memory: &shared,
+            reg,
+            wrote: false,
+        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_protocol(racing, &shared, 0, 1)
+        }));
+        assert_eq!(caught.is_err(), cfg!(debug_assertions));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! property established by the exhaustive explorer and the simulator test
 //! suite carries over to the native objects — the only difference is who
 //! schedules the interleaving (the OS instead of an adversary).
-
 //!
 //! Native objects are also *recyclable*: every register word carries the
 //! object's epoch tag, so [`NativeMemory::reset`] returns the object to
@@ -24,6 +23,16 @@
 //! sharded arena, which resolves sustained traffic on a fixed pool of
 //! objects instead of constructing one per operation, recycled by the
 //! load driver's epoch turn.
+//!
+//! The runner pays for shared-memory steps, not for bookkeeping. Every
+//! frame's `resume` and the per-step simulator helpers (coin draws,
+//! `Resume::read_value`) are `#[inline]`: users build without LTO, so
+//! a non-generic function from another crate would otherwise be an
+//! opaque call on every step. And [`NativeRunner`] loads the epoch tag
+//! once per operation instead of once per `read`/`write`, which the
+//! reset contract permits: no reset runs while an operation is in
+//! flight, so the epoch cannot change under it (debug builds assert
+//! this when the operation returns).
 
 mod driver;
 

@@ -79,6 +79,7 @@ fn random_direction(ctx: &mut Ctx<'_>) -> Word {
 impl Frame for RSplitFrame {
     type Object = RSplitter;
 
+    #[inline]
     fn resume(&mut self, sp: &RSplitter, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         let me = ctx.pid.index() as Word + 1;
         match self.state {

@@ -77,6 +77,7 @@ pub struct SplitFrame {
 impl Frame for SplitFrame {
     type Object = Splitter;
 
+    #[inline]
     fn resume(&mut self, sp: &Splitter, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         // X stores pid + 1 so that 0 remains "nobody".
         let me = ctx.pid.index() as Word + 1;

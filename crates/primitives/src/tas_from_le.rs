@@ -96,6 +96,7 @@ enum State<F> {
 impl<L: Elect> Frame for TasFrame<L> {
     type Object = TasFromLe<L>;
 
+    #[inline]
     fn resume(&mut self, tas: &TasFromLe<L>, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         loop {
             match &mut self.state {

@@ -91,6 +91,7 @@ impl ThreeProcessFrame {
 impl Frame for ThreeProcessFrame {
     type Object = ThreeProcessLe;
 
+    #[inline]
     fn resume(&mut self, le: &ThreeProcessLe, mut input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         loop {
             match &mut self.stage {

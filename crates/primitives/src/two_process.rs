@@ -150,6 +150,7 @@ impl TwoProcessFrame {
     /// # Panics
     ///
     /// Panics unless `role` is 0 or 1.
+    #[inline]
     pub fn new(role: usize) -> Self {
         assert!(role < 2, "2-process LE has roles 0 and 1, got {role}");
         TwoProcessFrame {
@@ -197,6 +198,7 @@ impl TwoProcessFrame {
 impl Frame for TwoProcessFrame {
     type Object = TwoProcessLe;
 
+    #[inline]
     fn resume(&mut self, le: &TwoProcessLe, input: Resume, ctx: &mut Ctx<'_>) -> Poll {
         match self.state {
             State::Announce => self.announce(le, ctx),

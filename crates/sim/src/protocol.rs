@@ -80,6 +80,7 @@ impl Resume {
     ///
     /// Panics if this is not [`Resume::Read`] — protocols use this when
     /// their state machine knows a read must be pending.
+    #[inline]
     pub fn read_value(self) -> Word {
         match self {
             Resume::Read(v) => v,

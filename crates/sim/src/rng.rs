@@ -61,18 +61,22 @@ pub struct SplitMix64 {
 }
 
 impl Randomness for SplitMix64 {
+    #[inline]
     fn choose(&mut self, domain: u64) -> u64 {
         self.next_below(domain)
     }
 
+    #[inline]
     fn bernoulli(&mut self, p: f64) -> bool {
         SplitMix64::bernoulli(self, p)
     }
 
+    #[inline]
     fn coin(&mut self) -> bool {
         SplitMix64::coin(self)
     }
 
+    #[inline]
     fn geometric_capped(&mut self, ell: u64) -> u64 {
         SplitMix64::geometric_capped(self, ell)
     }
@@ -80,6 +84,7 @@ impl Randomness for SplitMix64 {
 
 impl SplitMix64 {
     /// Create a generator from a seed.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
@@ -87,6 +92,7 @@ impl SplitMix64 {
     /// Derive an independent-looking stream for substream `index`.
     ///
     /// Used to give each process its own generator from one execution seed.
+    #[inline]
     pub fn split(seed: u64, index: u64) -> Self {
         let mut base = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15u64.rotate_left(7));
         let a = base.next_u64();
@@ -98,6 +104,7 @@ impl SplitMix64 {
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
@@ -111,6 +118,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "next_below bound must be positive");
         // Multiply-shift rejection-free mapping is fine here: bounds are
@@ -120,11 +128,13 @@ impl SplitMix64 {
     }
 
     /// Fair coin.
+    #[inline]
     pub fn coin(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0,1]`).
+    #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         // Compare against 53-bit uniform.
@@ -139,6 +149,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `ell == 0`.
+    #[inline]
     pub fn geometric_capped(&mut self, ell: u64) -> u64 {
         assert!(ell > 0, "geometric_capped needs ell >= 1");
         let mut x = 1;
