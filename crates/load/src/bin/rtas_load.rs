@@ -60,10 +60,9 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use rtas_load::chaos::run_load_chaos_traced;
+use rtas_load::chaos::{run_load_chaos_traced, ChaosSpec, FaultPlan};
 use rtas_load::driver::{default_shards, run_load, LoadSpec, Mode, Slo, Warmup};
 use rtas_load::remote::run_load_remote_traced;
-use rtas_svc::chaos::{ChaosSpec, FaultPlan};
 use rtas_svc::obs::FlightRecorder;
 use rtas_svc::TraceMode;
 

@@ -29,12 +29,12 @@
 //!   becomes the key `load/s`, the turn's recycle is the wire
 //!   protocol's `RESET` ack, and the run reports as
 //!   `BENCH_svc_load.json`.
-//! * [`chaos`] — the remote driver behind `rtas-svc`'s deterministic
-//!   fault-injection layer (`--chaos <spec> --chaos-seed <n>`):
-//!   delays, drops, truncation, reordering, stalled holders, and
-//!   byzantine `RESET` acks, replayed bit-identically from one seed,
-//!   with the one-winner-per-key-epoch bar enforced fail-fast and the
-//!   run reporting as `BENCH_svc_chaos.json`.
+//! * [`chaos`] — the remote driver behind a deterministic client-side
+//!   fault injector (`--chaos <spec> --chaos-seed <n>`): delays,
+//!   drops, truncation, reordering, stalled holders, and byzantine
+//!   `RESET` acks, replayed bit-identically from one seed, with the
+//!   one-winner-per-key-epoch bar enforced fail-fast and the run
+//!   reporting as `BENCH_svc_chaos.json`.
 //!
 //! The `rtas-load` binary drives all of it from the command line and
 //! emits `BENCH_native_load.json` (or `BENCH_svc_load.json`) through

@@ -66,8 +66,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rtas_svc::obs::FlightRecorder;
-use rtas_svc::{Client, ClientConfig, ClientError, ClientTracer, Op, Response};
+use rtas_svc::obs::{EventKind, FlightRecorder, Lane};
+use rtas_svc::{Client, ClientConfig, ClientError, Op, Response};
 
 use crate::driver::{run_on_target, LoadOutcome, LoadSpec, LoadTarget, TargetKind};
 
@@ -89,6 +89,94 @@ pub(crate) fn bind_keys(
     }
     let registers = probe.stats()?.registers;
     Ok((keys, registers))
+}
+
+/// Negotiate wire tracing with the server at `addr` before a target
+/// attaches `recorder` — the negotiation the remote and chaos targets
+/// share. One traced `STATS` probe (`Client::probe_trace`) tells a new
+/// server from an old one over a healthy connection; an old server
+/// keeps the recorder detached (`None`) with a warning on stderr rather
+/// than an error: tracing is additive observability, never a reason to
+/// refuse load.
+///
+/// Fails only if the probe cannot reach the server.
+pub(crate) fn negotiate_trace(
+    addr: &str,
+    config: ClientConfig,
+    recorder: Arc<FlightRecorder>,
+) -> Result<Option<Arc<FlightRecorder>>, ClientError> {
+    if Client::connect_with(addr, config)?.probe_trace()? {
+        return Ok(Some(recorder));
+    }
+    eprintln!(
+        "rtas-load: warning: {addr} does not speak the wire trace \
+         extension (old server?); tracing disabled"
+    );
+    Ok(None)
+}
+
+/// Client-side span bookkeeping for one load-generator worker context:
+/// mints wire span ids and records the matching
+/// [`ClientSpan`](EventKind::ClientSpan) events into the client tier's
+/// own [`FlightRecorder`].
+///
+/// Span ids must be unique across the whole client process for the
+/// merge join to be unambiguous, and minting must never draw from any
+/// seeded fault/jitter stream (tracing cannot perturb a deterministic
+/// chaos schedule). Both fall out of plain arithmetic: context `ctx`
+/// owns the id range `(ctx + 1) << 40 | seq` — 2^24 contexts, 2^40
+/// requests each, and never span 0 because `ctx + 1 > 0`.
+///
+/// Retried sends must mint a **fresh** span per wire attempt — a span
+/// id names one frame, not one logical operation — which is what keeps
+/// "at most one server span per client span" true under chaos retries.
+#[derive(Debug)]
+pub(crate) struct ClientTracer {
+    recorder: Arc<FlightRecorder>,
+    lane: Lane,
+    base: u64,
+    seq: u64,
+}
+
+impl ClientTracer {
+    /// A tracer for worker context `ctx`, recording onto the client
+    /// recorder's `Worker(ctx)` lane.
+    pub fn new(recorder: Arc<FlightRecorder>, ctx: usize) -> ClientTracer {
+        ClientTracer {
+            recorder,
+            lane: Lane::Worker(ctx),
+            base: ((ctx as u64) + 1) << 40,
+            seq: 0,
+        }
+    }
+
+    /// Whether recording is live (the recorder's mode is not `off`).
+    pub fn enabled(&self) -> bool {
+        self.recorder.enabled()
+    }
+
+    /// Mint the next span id for this context (never 0).
+    pub fn mint(&mut self) -> u64 {
+        self.seq += 1;
+        self.base | (self.seq & 0xff_ffff_ffff)
+    }
+
+    /// Nanoseconds on the client recorder's clock.
+    pub fn now_ns(&self) -> u64 {
+        self.recorder.now_ns()
+    }
+
+    /// Record a completed round trip: one `ClientSpan` event carrying
+    /// the opcode, the span id, and the send→decoded duration.
+    pub fn record(&self, op: Op, span: u64, rtt_ns: u64) {
+        self.recorder.record(
+            self.lane,
+            EventKind::ClientSpan,
+            u32::from(op.code()),
+            span,
+            rtt_ns,
+        );
+    }
 }
 
 /// An `rtas-svc` server as a [`LoadTarget`]: `shards` keys named
@@ -279,13 +367,12 @@ impl RemoteTarget {
     /// a `ClientSpan` event on the worker's lane, pairable with the
     /// server's dump by `rtas-trace merge`.
     ///
-    /// Negotiates first: a traced probe (`Client::probe_trace`) tells a
-    /// new server from an old one over a healthy connection. Old
-    /// servers — and pipelined targets, whose blind batches are
-    /// deliberately untraced (the window bookkeeping has no per-frame
-    /// completion point to time) — keep the recorder detached, with a
-    /// warning on stderr rather than an error: tracing is additive
-    /// observability, never a reason to refuse load.
+    /// Negotiates first with a traced `STATS` probe
+    /// (`Client::probe_trace`): old servers — and pipelined targets,
+    /// whose blind batches are deliberately untraced (the window
+    /// bookkeeping has no per-frame completion point to time) — keep
+    /// the recorder detached, with a warning on stderr rather than an
+    /// error.
     ///
     /// # Errors
     ///
@@ -301,15 +388,7 @@ impl RemoteTarget {
             );
             return Ok(self);
         }
-        if !Client::connect(&self.addr)?.probe_trace()? {
-            eprintln!(
-                "rtas-load: warning: {} does not speak the wire trace \
-                 extension (old server?); tracing disabled",
-                self.addr
-            );
-            return Ok(self);
-        }
-        self.recorder = Some(recorder);
+        self.recorder = negotiate_trace(&self.addr, ClientConfig::default(), recorder)?;
         Ok(self)
     }
 
@@ -499,4 +578,39 @@ pub fn scrape_svc_extras(addr: &str) -> Result<Vec<(String, f64)>, String> {
             worker_sum(".wheel_entries"),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtas_svc::obs::TraceMode;
+
+    #[test]
+    fn tracer_spans_are_unique_across_contexts_and_never_zero() {
+        let recorder = Arc::new(FlightRecorder::new(TraceMode::On, 4));
+        let mut a = ClientTracer::new(Arc::clone(&recorder), 0);
+        let mut b = ClientTracer::new(Arc::clone(&recorder), 1);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..1000 {
+            assert!(seen.insert(a.mint()));
+            assert!(seen.insert(b.mint()));
+        }
+        assert!(!seen.contains(&0));
+        assert!(a.enabled());
+    }
+
+    #[test]
+    fn tracer_records_client_spans_on_its_worker_lane() {
+        let recorder = Arc::new(FlightRecorder::new(TraceMode::On, 2));
+        let mut tracer = ClientTracer::new(Arc::clone(&recorder), 1);
+        let span = tracer.mint();
+        tracer.record(Op::Tas, span, 12_345);
+        let events = recorder.snapshot();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, EventKind::ClientSpan as u32);
+        assert_eq!(events[0].lane, 3); // worker 1 = lane 2 + 1
+        assert_eq!(events[0].a, u32::from(Op::Tas.code()));
+        assert_eq!(events[0].b, span);
+        assert_eq!(events[0].c, 12_345);
+    }
 }

@@ -24,22 +24,18 @@
 //! [`ClientConfig`] bounds every transport wait: a connect timeout
 //! (on by default — a dead address must fail the dial, not hang a
 //! fleet spawn), and optional read/write deadlines on the established
-//! stream. [`Client::reconnect`] re-dials the peer the client first
-//! connected to with the same config, and [`RetryPolicy`] provides
-//! bounded, full-jitter exponential backoff for the redial loop. The
-//! protocol makes retried work idempotent at the *epoch* level: a
-//! reconnected worker re-reads the key's current epoch (its verdicts
-//! carry epoch numbers), so a retry rejoins the open epoch rather than
+//! stream. A dead connection is not repaired in place: drop the
+//! client and dial a fresh one (the chaos harness in `rtas-load` does
+//! exactly that, with jittered backoff between dials). The protocol
+//! makes retried work idempotent at the *epoch* level: a freshly
+//! dialed worker re-reads the key's current epoch (its verdicts carry
+//! epoch numbers), so a retry rejoins the open epoch rather than
 //! colliding with a completed one.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
 use std::time::Duration;
-
-use rtas::sim::rng::SplitMix64;
-use rtas_obs::{EventKind, FlightRecorder, Lane};
 
 use crate::conn::FrameDecoder;
 use crate::protocol::{
@@ -107,48 +103,6 @@ impl Default for ClientConfig {
     }
 }
 
-/// Bounded, full-jitter exponential backoff for reconnect loops.
-///
-/// Attempt `n` (0-based) sleeps `exp/2 + uniform(0..exp/2)` where
-/// `exp = min(cap, base << n)` — the classic "full jitter" scheme that
-/// decorrelates a thundering herd of retrying clients while keeping
-/// the expected wait growing exponentially.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Redial attempts before giving up.
-    pub attempts: u32,
-    /// First attempt's nominal backoff.
-    pub base: Duration,
-    /// Ceiling on any single backoff.
-    pub cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 8,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(200),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The sleep before (0-based) `attempt`, jittered by `rng`. Keep
-    /// the jitter stream separate from any stream whose draw sequence
-    /// must stay deterministic — retries are timing-dependent.
-    pub fn backoff(&self, attempt: u32, rng: &mut SplitMix64) -> Duration {
-        let base_ns = self.base.as_nanos().min(u64::MAX as u128) as u64;
-        let cap_ns = self.cap.as_nanos().min(u64::MAX as u128) as u64;
-        let exp = base_ns
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
-            .min(cap_ns);
-        let half = exp / 2;
-        let jitter = if half == 0 { 0 } else { rng.next_below(half) };
-        Duration::from_nanos(half + jitter)
-    }
-}
-
 /// Bytes pulled per `recv`-side `read` call: enough to swallow a whole
 /// pipelined burst of responses in one syscall.
 const READ_CHUNK: usize = 64 * 1024;
@@ -157,10 +111,8 @@ const READ_CHUNK: usize = 64 * 1024;
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    /// The resolved address actually dialed — [`Client::reconnect`]
-    /// re-dials exactly this peer.
+    /// The resolved address actually dialed.
     peer: SocketAddr,
-    config: ClientConfig,
     out: Vec<u8>,
     decoder: FrameDecoder,
     chunk: Vec<u8>,
@@ -186,7 +138,6 @@ impl Client {
                     return Ok(Client {
                         stream,
                         peer,
-                        config,
                         out: Vec::new(),
                         decoder: FrameDecoder::new(),
                         chunk: vec![0u8; READ_CHUNK],
@@ -212,18 +163,6 @@ impl Client {
         Ok(stream)
     }
 
-    /// Drop the current stream and re-dial the original peer with the
-    /// original config. On success the client is fresh: any responses
-    /// in flight on the old connection are gone (the receive buffer is
-    /// dropped with them — a partial frame from the old stream must
-    /// not splice onto the new one), so a pipelining caller must
-    /// re-send everything unanswered.
-    pub fn reconnect(&mut self) -> io::Result<()> {
-        self.stream = Self::dial(self.peer, &self.config)?;
-        self.decoder.clear();
-        Ok(())
-    }
-
     /// The resolved peer address this client dialed.
     pub fn peer(&self) -> SocketAddr {
         self.peer
@@ -237,7 +176,7 @@ impl Client {
 
     /// Transport writes performed so far on this client (every send is
     /// exactly one — the diagnostic behind the single-write framing
-    /// assertions; a reconnect does not reset it).
+    /// assertions).
     pub fn wire_writes(&self) -> u64 {
         self.wire_writes
     }
@@ -342,7 +281,10 @@ impl Client {
         }
     }
 
-    fn expect_acquired(&mut self) -> Result<Acquired, ClientError> {
+    /// [`Client::recv`] for a `TAS` or `ELECT` request: the next
+    /// response must be an arbitration verdict. An `ERR` response is
+    /// [`ClientError::Remote`]; any other shape is a protocol error.
+    pub fn recv_acquired(&mut self) -> Result<Acquired, ClientError> {
         match self.recv()? {
             Response::Acquired(a) => Ok(a),
             Response::Err(msg) => Err(ClientError::Remote(msg)),
@@ -352,22 +294,9 @@ impl Client {
         }
     }
 
-    /// Test-and-set on `key`: one round trip.
-    pub fn tas(&mut self, key: &[u8]) -> Result<Acquired, ClientError> {
-        self.send(Op::Tas, key)?;
-        self.expect_acquired()
-    }
-
-    /// Leader election on `key`: one round trip.
-    pub fn elect(&mut self, key: &[u8]) -> Result<Acquired, ClientError> {
-        self.send(Op::Elect, key)?;
-        self.expect_acquired()
-    }
-
-    /// Recycle `key` for its next epoch; returns the newly opened epoch
-    /// (0 when the key did not exist).
-    pub fn reset(&mut self, key: &[u8]) -> Result<u64, ClientError> {
-        self.send(Op::Reset, key)?;
+    /// [`Client::recv`] for a `RESET` request: the next response must
+    /// be a reset ack, whose newly opened epoch is returned.
+    pub fn recv_reset(&mut self) -> Result<u64, ClientError> {
         match self.recv()? {
             Response::Reset { epoch } => Ok(epoch),
             Response::Err(msg) => Err(ClientError::Remote(msg)),
@@ -375,6 +304,25 @@ impl Client {
                 "expected a reset ack, got {other:?}"
             ))),
         }
+    }
+
+    /// Test-and-set on `key`: one round trip.
+    pub fn tas(&mut self, key: &[u8]) -> Result<Acquired, ClientError> {
+        self.send(Op::Tas, key)?;
+        self.recv_acquired()
+    }
+
+    /// Leader election on `key`: one round trip.
+    pub fn elect(&mut self, key: &[u8]) -> Result<Acquired, ClientError> {
+        self.send(Op::Elect, key)?;
+        self.recv_acquired()
+    }
+
+    /// Recycle `key` for its next epoch; returns the newly opened epoch
+    /// (0 when the key did not exist).
+    pub fn reset(&mut self, key: &[u8]) -> Result<u64, ClientError> {
+        self.send(Op::Reset, key)?;
+        self.recv_reset()
     }
 
     /// Server-wide counters.
@@ -402,104 +350,5 @@ impl Client {
                 "expected a metrics exposition, got {other:?}"
             ))),
         }
-    }
-}
-
-/// Client-side span bookkeeping for one load-generator worker context:
-/// mints wire span ids and records the matching
-/// [`ClientSpan`](EventKind::ClientSpan) events into the client tier's
-/// own [`FlightRecorder`].
-///
-/// Span ids must be unique across the whole client process for the
-/// merge join to be unambiguous, and minting must never draw from any
-/// seeded fault/jitter stream (tracing cannot perturb a deterministic
-/// chaos schedule). Both fall out of plain arithmetic: context `ctx`
-/// owns the id range `(ctx + 1) << 40 | seq` — 2^24 contexts, 2^40
-/// requests each, and never span 0 because `ctx + 1 > 0`.
-///
-/// Retried sends must mint a **fresh** span per wire attempt — a span
-/// id names one frame, not one logical operation — which is what keeps
-/// "at most one server span per client span" true under chaos retries.
-#[derive(Debug, Clone)]
-pub struct ClientTracer {
-    recorder: Arc<FlightRecorder>,
-    lane: Lane,
-    base: u64,
-    seq: u64,
-}
-
-impl ClientTracer {
-    /// A tracer for worker context `ctx`, recording onto the client
-    /// recorder's `Worker(ctx)` lane.
-    pub fn new(recorder: Arc<FlightRecorder>, ctx: usize) -> ClientTracer {
-        ClientTracer {
-            recorder,
-            lane: Lane::Worker(ctx),
-            base: ((ctx as u64) + 1) << 40,
-            seq: 0,
-        }
-    }
-
-    /// Whether recording is live (the recorder's mode is not `off`).
-    pub fn enabled(&self) -> bool {
-        self.recorder.enabled()
-    }
-
-    /// Mint the next span id for this context (never 0).
-    pub fn mint(&mut self) -> u64 {
-        self.seq += 1;
-        self.base | (self.seq & 0xff_ffff_ffff)
-    }
-
-    /// Nanoseconds on the client recorder's clock.
-    pub fn now_ns(&self) -> u64 {
-        self.recorder.now_ns()
-    }
-
-    /// Record a completed round trip: one `ClientSpan` event carrying
-    /// the opcode, the span id, and the send→decoded duration.
-    pub fn record(&self, op: Op, span: u64, rtt_ns: u64) {
-        self.recorder.record(
-            self.lane,
-            EventKind::ClientSpan,
-            u32::from(op.code()),
-            span,
-            rtt_ns,
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rtas_obs::TraceMode;
-
-    #[test]
-    fn tracer_spans_are_unique_across_contexts_and_never_zero() {
-        let recorder = Arc::new(FlightRecorder::new(TraceMode::On, 4));
-        let mut a = ClientTracer::new(Arc::clone(&recorder), 0);
-        let mut b = ClientTracer::new(Arc::clone(&recorder), 1);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..1000 {
-            assert!(seen.insert(a.mint()));
-            assert!(seen.insert(b.mint()));
-        }
-        assert!(!seen.contains(&0));
-        assert!(a.enabled());
-    }
-
-    #[test]
-    fn tracer_records_client_spans_on_its_worker_lane() {
-        let recorder = Arc::new(FlightRecorder::new(TraceMode::On, 2));
-        let mut tracer = ClientTracer::new(Arc::clone(&recorder), 1);
-        let span = tracer.mint();
-        tracer.record(Op::Tas, span, 12_345);
-        let events = recorder.snapshot();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::ClientSpan as u32);
-        assert_eq!(events[0].lane, 3); // worker 1 = lane 2 + 1
-        assert_eq!(events[0].a, u32::from(Op::Tas.code()));
-        assert_eq!(events[0].b, span);
-        assert_eq!(events[0].c, 12_345);
     }
 }

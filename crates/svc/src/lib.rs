@@ -6,7 +6,7 @@
 //! algorithms behind exactly that interface — a std-only TCP server
 //! arbitrating contended decisions over **keyed namespaces**, each key
 //! an epoch-recycled [`rtas::TestAndSet`] / [`rtas::LeaderElection`]
-//! held behind the [`rtas::Arbiter`] vtable. Three layers:
+//! held behind the [`rtas::Arbiter`] vtable. Six layers:
 //!
 //! * [`protocol`] — the length-prefixed binary wire format (`TAS key`,
 //!   `ELECT key`, `RESET key`, `STATS`), with in-order responses so
@@ -29,12 +29,7 @@
 //!   portable fallback) with sharded accept loops and bulk-I/O burst
 //!   handling (one read, one coalesced write per pipelined burst),
 //!   and a blocking pipelining-capable client with batched
-//!   single-write sends, bounded timeouts, and jittered reconnect
-//!   backoff;
-//! * [`chaos`] — the deterministic hostile-network layer: a seeded
-//!   fault plan (delays, connection drops, frame truncation and
-//!   reordering, stalled holders, byzantine `RESET` acks) that the
-//!   load harness replays bit-identically from one seed;
+//!   single-write sends and bounded timeouts;
 //! * [`metrics`] — the service's always-on metrics plane (reactor
 //!   counters, per-worker gauges, per-stage latency histograms) built
 //!   on [`rtas_obs`], served by the `METRICS` wire op and scraped into
@@ -49,7 +44,9 @@
 //! The `rtas-svc` binary serves (`rtas-svc serve`) and inspects
 //! (`rtas-svc stats`) from the command line; `rtas-load --backend
 //! remote --addr host:port` fires its deterministic open-loop arrival
-//! schedules at a server and emits `BENCH_svc_load.json`.
+//! schedules at a server and emits `BENCH_svc_load.json`; with
+//! `--chaos <spec>` the same client-side harness injects seeded network
+//! faults (`rtas_load::chaos`) and emits `BENCH_svc_chaos.json`.
 //!
 //! ```
 //! use rtas_svc::{server, Client};
@@ -70,7 +67,6 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod cli;
 pub mod client;
 pub mod conn;
@@ -86,8 +82,7 @@ pub mod top;
 /// dumps without naming a second crate.
 pub use rtas_obs as obs;
 
-pub use chaos::{ChaosSpec, FaultPlan};
-pub use client::{Client, ClientConfig, ClientError, ClientTracer, RetryPolicy};
+pub use client::{Client, ClientConfig, ClientError};
 pub use conn::{ConnGauges, ConnStatus, Connection, FrameDecoder};
 pub use metrics::SvcMetrics;
 pub use namespace::{Kind, Namespace, NsError};

@@ -11,13 +11,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rtas_load::chaos::{run_load_chaos, run_load_chaos_traced};
+use rtas_load::chaos::{run_load_chaos, run_load_chaos_traced, ChaosSpec, FaultPlan};
 use rtas_load::driver::{LoadSpec, Mode, Warmup};
 use rtas_load::scrape_svc_extras;
 use rtas_svc::obs::{
     audit_events, decode_dump, merge_spans, render_timeline, EventKind, FlightRecorder,
 };
-use rtas_svc::{ChaosSpec, Client, Engine, FaultPlan, Server, SvcConfig, TraceMode};
+use rtas_svc::{Client, Engine, Server, SvcConfig, TraceMode};
 
 fn spec(threads: usize, shards: usize, total_ops: u64) -> LoadSpec {
     LoadSpec {

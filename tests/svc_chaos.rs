@@ -8,10 +8,10 @@
 
 use std::time::Duration;
 
-use rtas_load::chaos::run_load_chaos;
+use rtas_load::chaos::{run_load_chaos, ChaosSpec, FaultPlan};
 use rtas_load::driver::{LoadSpec, Mode, TargetKind, Warmup};
 use rtas_svc::server::SvcConfig;
-use rtas_svc::{ChaosSpec, FaultPlan, Server, TraceMode};
+use rtas_svc::{Server, TraceMode};
 
 fn hostile_server(lease_ms: u64) -> Server {
     hostile_server_traced(lease_ms, TraceMode::Off)
